@@ -24,10 +24,6 @@
 //!                                 writing the advanced baseline to
 //!                                 <out> (default: <base> in place)
 //! ```
-//!
-//! The engine's scheduler backend follows the kernel's `ROCC_SCHEDULER`
-//! env override (`heap` | `wheel`, default wheel) and is recorded in the
-//! document, so CI can bench both backends and ratchet only the wheel.
 
 use rocc_bench::ratchet;
 use rocc_experiments::micro::sim_with;
@@ -207,7 +203,6 @@ fn cmd_bench(out_dir: &str, baseline_path: &str) {
     // on (measures overhead, produces the per-phase attribution +
     // perf-profile artifact), reps interleaved.
     let (off, on, overhead_pct) = bench_engine();
-    let scheduler = off.kernel.scheduler_backend().name();
     let p_off = off.profile();
     let eps = p_off.events_per_sec();
     let p_on = on.profile();
@@ -229,7 +224,7 @@ fn cmd_bench(out_dir: &str, baseline_path: &str) {
     let base_eps = base.events_per_sec.unwrap_or(eps);
     let base_sweep = base.sweep_wall_seconds.unwrap_or(sweep_best);
     println!(
-        "engine [{scheduler}]: {} events in {:.3}s = {eps:.0} events/sec ({engine_speedup:.2}x vs baseline)",
+        "engine: {} events in {:.3}s = {eps:.0} events/sec ({engine_speedup:.2}x vs baseline)",
         p_off.events_processed, p_off.wall_seconds
     );
     println!("engine (profiled): {eps_on:.0} events/sec — profiler overhead {overhead_pct:.2}%");
@@ -238,7 +233,7 @@ fn cmd_bench(out_dir: &str, baseline_path: &str) {
     println!("sweep speedup vs baseline: {sweep_speedup:.2}x");
     let json = format!(
         "{{\"schema\":\"rocc-bench/v2\",\
-         \"engine\":{{\"scheduler\":\"{scheduler}\",\"engine_events\":{},\"engine_wall_seconds\":{},\
+         \"engine\":{{\"scheduler\":\"wheel\",\"engine_events\":{},\"engine_wall_seconds\":{},\
          \"events_per_sec\":{eps},\
          \"baseline_events_per_sec\":{base_eps},\"engine_speedup\":{engine_speedup}}},\
          \"profiler\":{{\"profiled_events_per_sec\":{eps_on},\"profiler_overhead_pct\":{overhead_pct},\

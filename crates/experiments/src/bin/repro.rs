@@ -874,9 +874,9 @@ fn main() {
                             std::process::exit(1);
                         }
                     };
-                    match rocc_sim::snapshot::inspect(&bytes) {
-                        Ok(info) => {
-                            println!("{file}: rocc-snapshot/v1");
+                    match rocc_sim::snapshot::sections(&bytes) {
+                        Ok((info, sections)) => {
+                            println!("{file}: rocc-snapshot/v2");
                             println!("  seed:             {}", info.seed);
                             println!("  config digest:    {:016x}", info.config_digest);
                             println!("  sim time:         {} ns", info.now_ns);
@@ -885,6 +885,14 @@ fn main() {
                                 "  size:             {} bytes ({} body)",
                                 info.total_len, info.body_len
                             );
+                            println!("  sections:         {}", sections.len());
+                            for (name, payload) in sections {
+                                println!(
+                                    "    {name:<12} {:>9} bytes  digest {:016x}",
+                                    payload.len(),
+                                    rocc_stats::digest::fnv1a_64(payload)
+                                );
+                            }
                         }
                         Err(e) => {
                             eprintln!("{file}: invalid snapshot: {e}");
@@ -903,23 +911,6 @@ fn main() {
                 eprintln!("usage: repro compare <runA dir|metrics.jsonl> <runB dir|metrics.jsonl>");
                 std::process::exit(2);
             };
-            // Runs on different scheduler backends are not seed noise —
-            // refuse to diff them as if they were (use `repro diverge`
-            // to localize a backend disagreement instead).
-            let (ba, bb) = (
-                observatory::manifest_field(a, "sched_backend"),
-                observatory::manifest_field(b, "sched_backend"),
-            );
-            if let (Some(ba), Some(bb)) = (&ba, &bb) {
-                if ba != bb {
-                    eprintln!(
-                        "backend mismatch: run A executed on `{ba}`, run B on `{bb}` — \
-                         these runs are not comparable as seed noise.\n\
-                         Use `repro diverge {ba} {bb}` to localize a backend disagreement."
-                    );
-                    std::process::exit(1);
-                }
-            }
             let (sa, sb) = match (observatory::load_summary(a), observatory::load_summary(b)) {
                 (Ok(sa), Ok(sb)) => (sa, sb),
                 (Err(e), _) | (_, Err(e)) => {
@@ -940,8 +931,8 @@ fn main() {
             let usage = "usage: repro diverge <specA> <specB> [scenario] [dir] [quick|paper] [seed] [max_events]\n\
                          \x20      repro diverge record <spec> <out.jsonl> [scenario] [quick|paper] [seed] [stride]\n\
                          \x20      repro diverge ledgers <a.jsonl> <b.jsonl>\n\
-                         specs: heap | wheel, optionally +flip@<event> (inject an RP rate bit-flip\n\
-                         after that many dispatched events); scenarios: chaos incast";
+                         specs: clean | flip@<event> (inject an RP rate bit-flip after that many\n\
+                         dispatched events); scenarios: chaos incast";
             match args.get(2).map(String::as_str) {
                 Some("record") => {
                     let (Some(spec), Some(out)) = (args.get(3), args.get(4)) else {
@@ -1160,7 +1151,7 @@ fn main() {
             println!("       repro profile <scenario> [dir] [quick|paper] [seed]   (phase profiler: rocc-perf-profile/v1 + Perfetto engine counters)");
             println!("       repro sweep <scenario> [dir] [quick|paper] [nseeds] [serial|parallel]   (checkpointed multi-seed campaign, resumable mid-cell)");
             println!("       repro snapshot save|restore|inspect <file> [scenario] [quick|paper] [seed] [events]   (engine snapshots by hand)");
-            println!("       repro compare <runA> <runB>   (cross-run fidelity gate; refuses mixed scheduler backends)");
+            println!("       repro compare <runA> <runB>   (cross-run fidelity gate)");
             println!("       repro diverge <specA> <specB> [scenario] [dir] [quick|paper] [seed]   (bisect two runs to the first divergent event)");
             println!("       repro diverge record <spec> <out.jsonl> | ledgers <a> <b>   (strided digest ledgers, offline diff)");
             println!("       repro golden [check|write] [path]   (pinned-run digest gate)");

@@ -1,19 +1,17 @@
 //! `repro diverge` — the divergence observatory's CLI driver.
 //!
-//! Runs two supposedly-equivalent configurations of the same scenario in
-//! lockstep — different scheduler backends, or one run deliberately
-//! perturbed with an RP bit-flip fault — and bisects to the exact first
-//! event index after which any per-subsystem state digest differs,
-//! emitting a `rocc-divergence-report/v1` artifact (see
+//! Runs the same scenario twice in lockstep — clean, or with one run
+//! deliberately perturbed with an RP bit-flip fault — and bisects to the
+//! exact first event index after which any per-subsystem state digest
+//! differs, emitting a `rocc-divergence-report/v1` artifact (see
 //! [`rocc_sim::digest`]). Also records and diffs strided
 //! `rocc-digest-ledger/v1` files for offline cross-machine comparison.
 //!
-//! A spec names a backend plus an optional injected fault:
+//! A spec names one side of the comparison:
 //!
 //! ```text
-//! wheel             timing-wheel scheduler, clean
-//! heap              binary-heap scheduler, clean
-//! wheel+flip@40000  wheel, with one RP rate bit flipped after event 40000
+//! clean       the scenario as built
+//! flip@40000  one RP rate bit flipped after event 40000
 //! ```
 //!
 //! The flip is [`Sim::inject_rp_perturbation`] — bit 30 of the first
@@ -43,56 +41,47 @@ pub const DEFAULT_MAX_EVENTS: u64 = 200_000;
 /// Default stride for `repro diverge record` ledgers.
 pub const DEFAULT_LEDGER_STRIDE: u64 = 2048;
 
-/// One side of a divergence comparison: a scheduler backend, optionally
-/// with an injected RP bit-flip at a fixed event index.
+/// One side of a divergence comparison: the scenario as built,
+/// optionally with an injected RP bit-flip at a fixed event index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DivergeSpec {
-    /// Scheduler backend to force.
-    pub backend: Backend,
     /// Inject [`Sim::inject_rp_perturbation`] after exactly this many
     /// dispatched events.
     pub flip_at: Option<u64>,
 }
 
 impl DivergeSpec {
-    /// Parse `heap`, `wheel`, `heap+flip@N`, `wheel+flip@N`.
+    /// Parse `clean` or `flip@N`.
     pub fn parse(s: &str) -> Option<DivergeSpec> {
-        let (base, flip_at) = match s.split_once('+') {
-            Some((b, rest)) => (b, Some(rest.strip_prefix("flip@")?.parse().ok()?)),
-            None => (s, None),
+        let flip_at = match s {
+            "clean" => None,
+            _ => Some(s.strip_prefix("flip@")?.parse().ok()?),
         };
-        let backend = match base {
-            "heap" => Backend::Heap,
-            "wheel" => Backend::Wheel,
-            _ => return None,
-        };
-        Some(DivergeSpec { backend, flip_at })
+        Some(DivergeSpec { flip_at })
     }
 
     /// Render back to the CLI spelling.
     pub fn label(&self) -> String {
         match self.flip_at {
-            Some(n) => format!("{}+flip@{n}", self.backend.name()),
-            None => self.backend.name().to_string(),
+            Some(n) => format!("flip@{n}"),
+            None => "clean".to_string(),
         }
     }
 }
 
-/// Build (without running) the sim a diverge scenario uses, with the
-/// spec's backend forced. `None` for an unknown scenario name.
-pub fn scenario_sim(scenario: &str, scale: Scale, seed: u64, backend: Backend) -> Option<Sim> {
-    let mut sim = match scenario {
-        "chaos" => build_chaos(scale, seed),
-        "incast" => observatory::scenario_sim("incast", scale, seed)?.0,
-        _ => return None,
-    };
-    sim.set_scheduler_backend(backend);
-    Some(sim)
+/// Build (without running) the sim a diverge scenario uses. `None` for
+/// an unknown scenario name.
+pub fn scenario_sim(scenario: &str, scale: Scale, seed: u64) -> Option<Sim> {
+    match scenario {
+        "chaos" => Some(build_chaos(scale, seed)),
+        "incast" => Some(observatory::scenario_sim("incast", scale, seed)?.0),
+        _ => None,
+    }
 }
 
-/// The faulted 6-sender incast pinned by the golden-engine and
-/// scheduler-differential suites: data loss, CNP loss and a mid-run link
-/// flap, RoCC end to end. `Paper` scale grows the flows, same faults.
+/// The faulted 6-sender incast pinned by the golden-engine and scheduler
+/// suites: data loss, CNP loss and a mid-run link flap, RoCC end to end.
+/// `Paper` scale grows the flows, same faults.
 fn build_chaos(scale: Scale, seed: u64) -> Sim {
     let size = match scale {
         Scale::Quick => 1_000_000u64,
@@ -168,15 +157,14 @@ pub fn diverge(
 ) -> Result<DivergeResult, String> {
     let (spec_a, spec_b, swapped) = match (spec_a.flip_at, spec_b.flip_at) {
         (Some(_), Some(_)) => {
-            return Err("at most one spec may carry +flip@N".to_string());
+            return Err("at most one spec may carry flip@N".to_string());
         }
         (Some(_), None) => (spec_b, spec_a, true),
         _ => (spec_a, spec_b, false),
     };
-    let mut a = scenario_sim(scenario, scale, seed, spec_a.backend)
+    let mut a = scenario_sim(scenario, scale, seed)
         .ok_or_else(|| format!("unknown diverge scenario: {scenario}"))?;
-    let mut b = scenario_sim(scenario, scale, seed, spec_b.backend)
-        .expect("scenario validated above");
+    let mut b = scenario_sim(scenario, scale, seed).expect("scenario validated above");
     let opts = BisectOptions {
         scan_stride: DEFAULT_SCAN_STRIDE,
         max_events,
@@ -195,7 +183,7 @@ pub fn record_ledger(
     seed: u64,
     stride: u64,
 ) -> Result<String, String> {
-    let mut sim = scenario_sim(scenario, scale, seed, spec.backend)
+    let mut sim = scenario_sim(scenario, scale, seed)
         .ok_or_else(|| format!("unknown diverge scenario: {scenario}"))?;
     sim.enable_digest_ledger(stride);
     if let Some(at) = spec.flip_at {
@@ -247,34 +235,33 @@ mod tests {
 
     #[test]
     fn spec_parsing_roundtrips() {
-        let s = DivergeSpec::parse("wheel").unwrap();
-        assert_eq!(s.backend, Backend::Wheel);
+        let s = DivergeSpec::parse("clean").unwrap();
         assert_eq!(s.flip_at, None);
-        let s = DivergeSpec::parse("heap+flip@1234").unwrap();
-        assert_eq!(s.backend, Backend::Heap);
+        assert_eq!(s.label(), "clean");
+        let s = DivergeSpec::parse("flip@1234").unwrap();
         assert_eq!(s.flip_at, Some(1234));
-        assert_eq!(s.label(), "heap+flip@1234");
-        assert!(DivergeSpec::parse("fifo").is_none());
-        assert!(DivergeSpec::parse("wheel+flip@x").is_none());
-        assert!(DivergeSpec::parse("wheel+thaw@3").is_none());
+        assert_eq!(s.label(), "flip@1234");
+        assert!(DivergeSpec::parse("heap").is_none());
+        assert!(DivergeSpec::parse("flip@x").is_none());
+        assert!(DivergeSpec::parse("thaw@3").is_none());
     }
 
     #[test]
     fn two_flipped_specs_are_rejected() {
-        let f = DivergeSpec::parse("wheel+flip@10").unwrap();
+        let f = DivergeSpec::parse("flip@10").unwrap();
         assert!(diverge(f, f, "chaos", Scale::Quick, 7, 1000).is_err());
     }
 
     #[test]
     fn unknown_scenario_is_rejected() {
-        let s = DivergeSpec::parse("wheel").unwrap();
+        let s = DivergeSpec::parse("clean").unwrap();
         assert!(diverge(s, s, "nope", Scale::Quick, 7, 1000).is_err());
     }
 
     #[test]
     fn flipped_spec_runs_as_side_b() {
-        let f = DivergeSpec::parse("wheel+flip@4000").unwrap();
-        let c = DivergeSpec::parse("wheel").unwrap();
+        let f = DivergeSpec::parse("flip@4000").unwrap();
+        let c = DivergeSpec::parse("clean").unwrap();
         let r = diverge(f, c, "chaos", Scale::Quick, 7, 12_000).expect("valid specs");
         assert!(r.swapped);
         assert_eq!(r.spec_b.flip_at, Some(4000));

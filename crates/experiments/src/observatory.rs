@@ -66,13 +66,9 @@ pub struct ObserveRun {
     /// The run's typed verdict (campaign drivers classify failures from
     /// it; the manifest embeds its JSON form).
     pub verdict: RunVerdict,
-    /// Scheduler backend the run executed under (`heap` | `wheel`).
-    /// Recorded so `repro compare` can refuse to diff runs that executed
-    /// on different backends as if they were seed noise.
-    pub sched_backend: &'static str,
     /// Every `ROCC_*` environment override in effect during the run,
-    /// sorted by name — the out-of-config knobs (scheduler choice,
-    /// sanitizer mode, …) that a manifest must pin for a run to be
+    /// sorted by name — the out-of-config knobs (sanitizer mode, verdict
+    /// directory, …) that a manifest must pin for a run to be
     /// reproducible from its artifacts alone.
     pub env_overrides: Vec<(String, String)>,
 }
@@ -84,14 +80,14 @@ impl ObserveRun {
         let env: Vec<String> = self
             .env_overrides
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", k, v.replace('\\', "\\\\").replace('"', "\\\"")))
+            .map(|(k, v)| format!("\"{}\":\"{}\"", k, rocc_stats::json::escape(v)))
             .collect();
         format!(
             concat!(
                 "{{\"schema\":\"rocc-run-manifest/v1\",",
                 "\"scenario\":\"{}\",\"scheme\":\"rocc\",\"seed\":{},\"scale\":\"{}\",",
                 "\"flows\":{},\"completed\":{},",
-                "\"sched_backend\":\"{}\",\"env_overrides\":{{{}}},",
+                "\"env_overrides\":{{{}}},",
                 "\"config_hash\":\"{}\",\"git_rev\":\"{}\",",
                 "\"metrics_digest\":\"{}\",\"perfetto_digest\":\"{}\",",
                 "\"verdict\":{},\"fidelity\":{}}}"
@@ -101,7 +97,6 @@ impl ObserveRun {
             scale_name(self.scale),
             self.flows,
             self.completed,
-            self.sched_backend,
             env.join(","),
             digest(&self.config_debug),
             git_rev(),
@@ -279,7 +274,6 @@ fn finish_incast(
 ) -> ObserveRun {
     let config_debug =
         scenario_config_debug("incast").expect("incast is a known scenario");
-    let sched_backend = sim.kernel.scheduler_backend().name();
     let verdict = sim.run_until_flows_done(horizon);
     ObserveRun {
         scenario: "incast",
@@ -291,7 +285,6 @@ fn finish_incast(
         perfetto_json: export_chrome_trace(&sim),
         config_debug,
         verdict,
-        sched_backend,
         env_overrides: rocc_env_overrides(),
     }
 }
@@ -480,15 +473,9 @@ pub fn sweep_with_snapshots(
 // ---------------------------------------------------------------------------
 // Digests
 
-/// FNV-1a 64-bit over the UTF-8 bytes (the workspace-wide helper in
-/// [`rocc_core::digest`]).
-pub fn fnv1a64(data: &str) -> u64 {
-    rocc_core::digest::fnv1a_64(data.as_bytes())
-}
-
 /// FNV-1a digest as 16 lowercase hex digits.
 pub fn digest(data: &str) -> String {
-    rocc_core::digest::hex_digest(data.as_bytes())
+    rocc_stats::digest::hex_digest(data.as_bytes())
 }
 
 /// Best-effort short git revision ("unknown" outside a work tree).
@@ -810,30 +797,6 @@ pub fn load_summary(path: &str) -> Result<FidelitySummary, String> {
     Ok(summarize_metrics(&jsonl))
 }
 
-/// Read one string field out of a run's manifest. `path` is what the
-/// user handed `repro compare`: a run directory (the `manifest_*.json`
-/// inside it is used) or a direct `metrics_*.jsonl` path (the sibling
-/// manifest is used). `None` when no manifest is found or the field is
-/// absent — older runs predate some manifest fields, and comparison
-/// falls back to the old silent behavior rather than failing.
-pub fn manifest_field(path: &str, key: &str) -> Option<String> {
-    let p = std::path::Path::new(path);
-    let dir = if p.is_dir() { p } else { p.parent()? };
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for e in entries {
-        let name = e.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("manifest_") && name.ends_with(".json") {
-            let doc = std::fs::read_to_string(&e).ok()?;
-            return field_str(&doc, key);
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Golden gate
 
@@ -895,8 +858,7 @@ mod tests {
 
     #[test]
     fn fnv_digest_is_stable() {
-        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(digest("hello"), format!("{:016x}", fnv1a64("hello")));
+        assert_eq!(digest(""), "cbf29ce484222325");
         assert_ne!(digest("a"), digest("b"));
     }
 

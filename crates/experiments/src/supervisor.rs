@@ -39,6 +39,7 @@
 
 use crate::parallel::{map_cells, run_isolated, ExecMode};
 use rocc_sim::prelude::SimError;
+use rocc_stats::json;
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -100,7 +101,7 @@ impl<R> CellOutcome<R> {
         match self {
             CellOutcome::Ok(_) => None,
             CellOutcome::Panicked { message } => {
-                Some(format!("\"{}\"", json_escape(message)))
+                Some(format!("\"{}\"", json::escape(message)))
             }
             CellOutcome::FailedVerdict { error } | CellOutcome::BudgetExhausted { error } => {
                 Some(error.to_json())
@@ -242,22 +243,6 @@ fn take_between<'a>(s: &'a str, start: &str, end: &str) -> Option<&'a str> {
     Some(&s[i..j])
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Load a checkpoint journal, tolerating a missing file and a partial
 /// trailing line (the crash case the journal exists for). Later entries
 /// win on duplicate keys.
@@ -356,7 +341,7 @@ impl FailureEntry {
     fn to_json(&self) -> String {
         format!(
             "{{\"key\":\"{}\",\"class\":\"{}\",\"attempts\":{},\"detail\":{}}}",
-            json_escape(&self.key),
+            json::escape(&self.key),
             self.class,
             self.attempts,
             self.detail_json
@@ -601,7 +586,7 @@ impl SnapshotStore {
     /// key strings (slashes, spaces) map to safe fixed-width file names.
     pub fn path_for(&self, key: &str) -> PathBuf {
         self.dir
-            .join(format!("{:016x}.snap", rocc_sim::snapshot::fnv1a(key.as_bytes())))
+            .join(format!("{:016x}.snap", rocc_stats::digest::fnv1a_64(key.as_bytes())))
     }
 
     /// Persist `bytes` as the cell's latest checkpoint. Atomic: the bytes
@@ -711,13 +696,13 @@ fn journal_line<R, C: CellCodec<R>>(
     match outcome {
         CellOutcome::Ok(r) => format!(
             "{{\"key\":\"{}\",\"outcome\":\"ok\",\"attempts\":{},\"result\":{}}}\n",
-            json_escape(key),
+            json::escape(key),
             attempts,
             codec.encode(r)
         ),
         other => format!(
             "{{\"key\":\"{}\",\"outcome\":\"{}\",\"attempts\":{},\"detail\":{}}}\n",
-            json_escape(key),
+            json::escape(key),
             other.class(),
             attempts,
             other.detail_json().unwrap_or_else(|| "null".to_string())

@@ -7,6 +7,7 @@ use rocc_sim::prelude::*;
 use rocc_stats::jain_fairness;
 
 #[test]
+#[ignore = "slow; CI runs --include-ignored"]
 fn fig8_queue_tracks_qref_at_both_speeds() {
     for case in micro::fig8(Scale::Quick) {
         let qref = if case.gbps >= 100 { 300_000.0 } else { 150_000.0 };

@@ -3,19 +3,20 @@
 //! bisector.
 //!
 //! Determinism bugs present as "two runs that should match, don't" — a
-//! golden fingerprint mismatch, a heap-vs-wheel scheduler disagreement, a
-//! restore that drifts. The engine-level fingerprint says *that* the runs
-//! split but not *where*: which of the hundreds of thousands of dispatched
-//! events first pushed the two states apart, and in which subsystem.
+//! golden fingerprint mismatch, a restore that drifts. The engine-level
+//! fingerprint says *that* the runs split but not *where*: which of the
+//! hundreds of thousands of dispatched events first pushed the two states
+//! apart, and in which subsystem.
 //!
 //! This module answers both questions:
 //!
 //! * [`Sim::state_digest`] hashes every subsystem's dynamic state
 //!   **separately** — scheduler queue, packet slab, both RNG streams,
 //!   per-switch queues/CC state, per-host CC state, fault cursors,
-//!   telemetry counters — using the exact `rocc-snapshot/v1` word codecs,
-//!   so a digest difference names the component that diverged, and a
-//!   word-level diff of the two serializations localizes the field group.
+//!   telemetry counters: each digest is the FNV-1a-64 of that subsystem's
+//!   `rocc-snapshot/v2` section, so a digest difference names the
+//!   component that diverged, and a word-level diff of the two sections
+//!   localizes the field group.
 //! * [`DigestLedger`] records those digests every N dispatched events
 //!   behind the same one-branch gating as auto-checkpointing (recording a
 //!   run is bit-identical to not recording it; pinned by the
@@ -34,6 +35,7 @@
 
 use crate::engine::Sim;
 use rocc_stats::digest::{fnv1a_64, Fnv64};
+use rocc_stats::json;
 
 /// Schema tag written on every digest-ledger JSONL line.
 pub const DIGEST_LEDGER_SCHEMA: &str = "rocc-digest-ledger/v1";
@@ -42,40 +44,12 @@ pub const DIGEST_LEDGER_SCHEMA: &str = "rocc-digest-ledger/v1";
 pub const DIVERGENCE_REPORT_SCHEMA: &str = "rocc-divergence-report/v1";
 
 // ---------------------------------------------------------------------------
-// Component states and digests
+// Component digests
 // ---------------------------------------------------------------------------
 
-/// One subsystem's dynamic state, serialized with the `rocc-snapshot/v1`
-/// word codecs. Produced by [`Sim::component_states`]; the byte stream is
-/// the unit both of digesting and of word-level diffing.
-#[derive(Clone, Debug)]
-pub struct ComponentState {
-    /// Canonical component name (`kernel`, `rng`, `sched`, `faults`,
-    /// `san`, `slab`, `host/N`, `switch/N`, `run`, `trace`, `sanitizer`).
-    pub name: String,
-    /// The component's serialized state words, little-endian.
-    pub bytes: Vec<u8>,
-}
-
-impl ComponentState {
-    /// Wrap a named serialized state stream.
-    pub fn new(name: impl Into<String>, bytes: Vec<u8>) -> Self {
-        ComponentState { name: name.into(), bytes }
-    }
-
-    /// FNV-1a-64 over the serialized bytes.
-    pub fn digest(&self) -> u64 {
-        fnv1a_64(&self.bytes)
-    }
-
-    /// The byte stream decoded as little-endian 64-bit words (the tail is
-    /// zero-padded — component streams are word-aligned except for the
-    /// occasional `u8` tag).
-    pub fn words(&self) -> Vec<u64> {
-        le_words(&self.bytes)
-    }
-}
-
+/// A section's bytes decoded as little-endian 64-bit words (the tail is
+/// zero-padded — sections are word-aligned except for the occasional
+/// `u8` tag).
 fn le_words(bytes: &[u8]) -> Vec<u64> {
     bytes
         .chunks(8)
@@ -95,13 +69,6 @@ pub struct ComponentDigests {
 }
 
 impl ComponentDigests {
-    /// Digest each component of a [`Sim::component_states`] listing.
-    pub fn from_states(states: &[ComponentState]) -> Self {
-        ComponentDigests {
-            entries: states.iter().map(|s| (s.name.clone(), s.digest())).collect(),
-        }
-    }
-
     /// Build from pre-computed `(name, digest)` pairs (ledger parsing).
     pub fn from_entries(entries: Vec<(String, u64)>) -> Self {
         ComponentDigests { entries }
@@ -166,12 +133,14 @@ impl ComponentDigests {
 
 impl Sim {
     /// Per-subsystem FNV-1a-64 digests of the current dynamic state: one
-    /// digest per [`Sim::component_states`] entry, computed over the same
-    /// `rocc-snapshot/v1` serialization the snapshot machinery writes.
-    /// Equal full-state snapshots imply equal digests; a digest mismatch
-    /// names the first subsystem whose state diverged.
+    /// digest per `rocc-snapshot/v2` section, over exactly the bytes
+    /// [`Sim::snapshot`] would frame (see [`crate::snapshot::sections`]).
+    /// Equal full-state snapshots therefore have equal digests; a digest
+    /// mismatch names the first subsystem whose state diverged.
     pub fn state_digest(&self) -> ComponentDigests {
-        ComponentDigests::from_states(&self.component_states())
+        let sections = self.sections();
+        let entries = sections.iter().map(|(n, b)| (n.to_string(), fnv1a_64(b)));
+        ComponentDigests { entries: entries.collect() }
     }
 }
 
@@ -479,7 +448,7 @@ impl DivergenceReport {
         ));
         s.push_str(&format!("  \"t_ns_a\": {},\n", self.t_ns_a));
         s.push_str(&format!("  \"t_ns_b\": {},\n", self.t_ns_b));
-        s.push_str(&format!("  \"component\": \"{}\",\n", json_escape(&self.component)));
+        s.push_str(&format!("  \"component\": \"{}\",\n", json::escape(&self.component)));
         s.push_str(&format!("  \"digest_a\": \"{}\",\n", self.digest_a));
         s.push_str(&format!("  \"digest_b\": \"{}\",\n", self.digest_b));
         s.push_str("  \"differing_components\": [");
@@ -487,15 +456,15 @@ impl DivergenceReport {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{}\"", json_escape(c)));
+            s.push_str(&format!("\"{}\"", json::escape(c)));
         }
         s.push_str("],\n");
         match &self.event_a {
-            Some(e) => s.push_str(&format!("  \"event_a\": \"{}\",\n", json_escape(e))),
+            Some(e) => s.push_str(&format!("  \"event_a\": \"{}\",\n", json::escape(e))),
             None => s.push_str("  \"event_a\": null,\n"),
         }
         match &self.event_b {
-            Some(e) => s.push_str(&format!("  \"event_b\": \"{}\",\n", json_escape(e))),
+            Some(e) => s.push_str(&format!("  \"event_b\": \"{}\",\n", json::escape(e))),
             None => s.push_str("  \"event_b\": null,\n"),
         }
         s.push_str(&format!("  \"words_a\": {},\n", self.words_a));
@@ -534,23 +503,6 @@ impl DivergenceReport {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Advance `sim` event-by-event until `target` events have been
 /// dispatched (or the schedule runs dry — returns `false`). When
 /// `perturb_at` is crossed *from below within this call*, the RP
@@ -583,8 +535,8 @@ fn states_differ(a: &mut Sim, b: &mut Sim) -> bool {
 /// after which their states differ.
 ///
 /// Both sims must be freshly built (or restored) at the **same** event
-/// count; they may use different scheduler backends or configurations
-/// that are *supposed* to be equivalent — that is the point. Phase 1
+/// count; they may use configurations that are *supposed* to be
+/// equivalent — that is the point. Phase 1
 /// advances both by [`BisectOptions::scan_stride`] events at a time,
 /// comparing [`Sim::state_digest`] at each boundary and re-snapshotting
 /// both sims while they still match. On the first mismatching boundary,
@@ -692,13 +644,13 @@ fn build_report(
         differing.push("kernel".to_string());
     }
     let component = differing[0].clone();
-    let sa = a.component_states();
-    let sb = b.component_states();
-    let find = |states: &[ComponentState], name: &str| {
-        states.iter().find(|s| s.name == name).map(|s| s.words()).unwrap_or_default()
+    let words = |sim: &Sim| {
+        let secs = sim.sections();
+        let found = secs.iter().find(|(n, _)| *n == component);
+        found.map(|(_, bytes)| le_words(bytes)).unwrap_or_default()
     };
-    let wa = find(&sa, &component);
-    let wb = find(&sb, &component);
+    let wa = words(a);
+    let wb = words(b);
     let mut word_diff = Vec::new();
     for i in 0..wa.len().max(wb.len()) {
         let va = wa.get(i).copied().unwrap_or(0);
@@ -804,14 +756,7 @@ mod tests {
 
     #[test]
     fn word_decode_pads_tail() {
-        let c = ComponentState::new("x", vec![1, 0, 0, 0, 0, 0, 0, 0, 2]);
-        assert_eq!(c.words(), vec![1, 2]);
-    }
-
-    #[test]
-    fn json_escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(le_words(&[1, 0, 0, 0, 0, 0, 0, 0, 2]), vec![1, 2]);
     }
 
     #[test]

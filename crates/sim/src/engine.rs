@@ -1,11 +1,9 @@
 //! The discrete-event engine.
 //!
 //! A single event queue drives the whole network: a hierarchical timing
-//! wheel by default, or the original binary heap as a differential oracle
-//! (`ROCC_SCHEDULER=heap`; see [`crate::sched`] and DESIGN.md §3j). Events
-//! at the same instant are ordered by insertion sequence number, making
-//! every run bit-for-bit deterministic for a given seed — both backends
-//! realize the identical `(at, seq)` total order.
+//! wheel (see [`crate::sched`] and DESIGN.md §3j). Events at the same
+//! instant are ordered by insertion sequence number, making every run
+//! bit-for-bit deterministic for a given seed.
 //!
 //! Packets in flight live in the kernel's [`PacketSlab`]; the dominant
 //! `Arrive` event carries a 4-byte [`PacketRef`] instead of the ~560-byte
@@ -23,9 +21,9 @@ use crate::sanitizer::{
     scan_pause_graph, AuditView, PauseReport, RunVerdict, SanLedger, Sanitizer, SimError,
     DEFAULT_AUDIT_PERIOD,
 };
-use crate::sched::{Backend, Scheduled, Scheduler, SchedulerImpl};
+use crate::sched::{Scheduled, TimingWheel};
 use crate::slab::{PacketRef, PacketSlab};
-use crate::snapshot::{self, SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{self, SnapWriter, SnapshotError};
 use crate::switch::Switch;
 use crate::telemetry::{DropCause, EventMask, SimEvent, SimProfile};
 use crate::time::{SimDuration, SimTime};
@@ -149,7 +147,7 @@ pub struct Kernel {
     /// branch per hook while disabled (the default); node handlers mark
     /// their phases through the `&mut Kernel` they already receive.
     pub prof: PhaseProfiler,
-    sched: SchedulerImpl,
+    sched: TimingWheel,
     seq: u64,
     peak_heap: usize,
     /// How many [`Kernel::schedule`] calls requested a timestamp below
@@ -174,7 +172,7 @@ impl Kernel {
             san: SanLedger::default(),
             packets: PacketSlab::new(),
             prof: PhaseProfiler::default(),
-            sched: SchedulerImpl::new(Backend::from_env()),
+            sched: TimingWheel::default(),
             seq: 0,
             peak_heap: 0,
             past_due_clamps: 0,
@@ -255,32 +253,9 @@ impl Kernel {
         self.past_due_clamps
     }
 
-    /// The scheduler backend currently driving the run.
-    pub fn scheduler_backend(&self) -> Backend {
-        self.sched.backend()
-    }
-
-    /// Scheduler introspection counters (cascades/rebases; all zero for
-    /// the heap backend).
+    /// Scheduler introspection counters (cascades/rebases).
     pub fn scheduler_stats(&self) -> crate::sched::SchedStats {
         self.sched.stats()
-    }
-
-    /// Swap the scheduler backend in place, migrating every pending
-    /// event. Pops drain in `(at, seq)` order and pushes re-insert in
-    /// that same order, so the schedule is preserved exactly — tests use
-    /// this to pit the backends against each other without the
-    /// env-variable race of `ROCC_SCHEDULER` under parallel test
-    /// threads. The sanitizer ledger is untouched: events only move
-    /// between queues.
-    pub fn set_scheduler_backend(&mut self, backend: Backend) {
-        if self.sched.backend() == backend {
-            return;
-        }
-        let mut old = std::mem::replace(&mut self.sched, SchedulerImpl::new(backend));
-        while let Some(s) = old.pop() {
-            self.sched.push(s);
-        }
     }
 }
 
@@ -322,6 +297,16 @@ pub struct FlowMeta {
 enum NodeSlot {
     Host(Host),
     Switch(Switch),
+}
+
+impl NodeSlot {
+    /// Snapshot section (= digest component) name of node `i`.
+    fn section_name(&self, i: usize) -> String {
+        match self {
+            NodeSlot::Host(_) => format!("host/{i}"),
+            NodeSlot::Switch(_) => format!("switch/{i}"),
+        }
+    }
 }
 
 /// Consumer of auto-checkpoints: called with `(events_processed, bytes)`
@@ -552,17 +537,9 @@ impl Sim {
             slab_live: self.kernel.packets.live(),
             slab_peak: self.kernel.packets.peak_live(),
             flow_dir_entries: self.flow_dir.len(),
-            sched_backend: self.kernel.sched.name(),
             sched: self.kernel.sched.stats(),
             level_depths: self.kernel.sched.level_depths(),
         })
-    }
-
-    /// Swap the kernel's scheduler backend in place (see
-    /// [`Kernel::set_scheduler_backend`]); the pending schedule migrates
-    /// exactly.
-    pub fn set_scheduler_backend(&mut self, backend: Backend) {
-        self.kernel.set_scheduler_backend(backend);
     }
 
     /// Register a flow; it will activate at `spec.start`.
@@ -975,7 +952,7 @@ impl Sim {
     // ------------------------------------------------------ snapshotting
 
     /// Serialize the complete dynamic state of the run as a
-    /// `rocc-snapshot/v1` document: scheduler heap contents, packet slab,
+    /// `rocc-snapshot/v2` document: scheduler queue contents, packet slab,
     /// RNG streams, switch and host state, fault cursors, budget odometers,
     /// and all collected instrumentation. Restoring the bytes into a
     /// freshly rebuilt, identically configured `Sim` (see [`Sim::restore`])
@@ -990,17 +967,39 @@ impl Sim {
     /// snapshot to its seed and a configuration digest so a restore into
     /// the wrong setup fails loudly instead of diverging silently.
     pub fn snapshot(&self) -> Vec<u8> {
+        snapshot::frame(
+            self.kernel.config.seed,
+            snapshot::config_digest(&self.kernel.config),
+            self.kernel.now.as_nanos(),
+            self.events_processed,
+            self.sections(),
+        )
+    }
+
+    /// The one serialization of this sim's dynamic state: every subsystem
+    /// written as its own named section of a single buffer. The snapshot
+    /// container frames these sections, [`Sim::state_digest`] hashes them,
+    /// and the divergence bisector word-diffs them.
+    ///
+    /// Section order is canonical and stable: `kernel`, `rng`, `sched`,
+    /// `faults`, `san`, `slab`, one `host/N` / `switch/N` per node in
+    /// topology order, `run`, `trace`, `sanitizer`.
+    pub(crate) fn sections(&self) -> snapshot::Sections {
         let mut w = SnapWriter::new();
-        // Kernel dynamics. The event queue serializes as a (at, seq)-sorted
-        // vec regardless of backend — (at, seq) is a total order, so pushing
-        // the sorted entries back into ANY backend yields an identical pop
-        // order, and a snapshot taken under the wheel restores under the
-        // heap (and vice versa) bit-identically.
+        // Kernel odometers and the clock.
+        w.section("kernel");
         w.u64(self.kernel.seq);
         w.usize(self.kernel.peak_heap);
         w.u64(self.kernel.past_due_clamps);
         w.time(self.kernel.last_clamp_requested);
+        w.time(self.kernel.now);
+        w.u64(self.events_processed);
+        // The run RNG stream (the fault RNG lives in `faults`).
+        w.section("rng");
         w.words(&self.kernel.rng.state());
+        // The event queue, (at, seq)-sorted: (at, seq) is a total order,
+        // so pushing the sorted entries back yields an identical pop order.
+        w.section("sched");
         let mut queued = self.kernel.sched.entries();
         queued.sort_by_key(|&(at, seq, _)| (at, seq));
         w.usize(queued.len());
@@ -1009,24 +1008,23 @@ impl Sim {
             w.u64(seq);
             snapshot::write_event(&mut w, ev);
         }
+        w.section("faults");
         self.kernel.faults.save_state(&mut w);
+        w.section("san");
         self.kernel.san.save_state(&mut w);
+        w.section("slab");
         self.kernel.packets.save_state(&mut w);
-        // Node states, in topology order.
-        w.usize(self.nodes.len());
-        for n in &self.nodes {
+        // Node states, in topology order; the section name carries the role.
+        for (i, n) in self.nodes.iter().enumerate() {
+            w.section(n.section_name(i));
             match n {
-                NodeSlot::Host(h) => {
-                    w.u8(0);
-                    h.save_state(&mut w);
-                }
-                NodeSlot::Switch(s) => {
-                    w.u8(1);
-                    s.save_state(&mut w);
-                }
+                NodeSlot::Host(h) => h.save_state(&mut w),
+                NodeSlot::Switch(s) => s.save_state(&mut w),
             }
         }
-        // Run bookkeeping and profiling anchors.
+        // Run bookkeeping and profiling anchors (flow registrations are
+        // construction state, but the odometers move with the schedule).
+        w.section("run");
         w.usize(self.flows.len());
         w.u64(self.finite_flows);
         w.u64(self.stall_run);
@@ -1035,15 +1033,11 @@ impl Sim {
         w.u64(self.profile_base_sim_ns);
         w.u64(self.profile_base_seq);
         // Instrumentation.
+        w.section("trace");
         self.trace.save_state(&mut w);
+        w.section("sanitizer");
         self.sanitizer.save_state(&mut w);
-        snapshot::frame(
-            self.kernel.config.seed,
-            snapshot::config_digest(&self.kernel.config),
-            self.kernel.now.as_nanos(),
-            self.events_processed,
-            w.into_bytes(),
-        )
+        w.finish()
     }
 
     /// Overwrite this sim's dynamic state from a [`Sim::snapshot`]
@@ -1054,14 +1048,14 @@ impl Sim {
     /// seed + configuration digest), same CC factories, same `add_flow`
     /// calls, and the same trace watch registrations and sanitizer /
     /// telemetry / observatory enablement (verified structurally during
-    /// decode). Restore discards the fresh bootstrap heap and replaces
+    /// decode). Restore discards the fresh bootstrap queue and replaces
     /// every piece of dynamic state; accumulated wall-clock time resets to
     /// zero and any recorded budget failure is cleared.
     ///
     /// On error the sim may be left partially overwritten — discard it and
     /// rebuild (the supervisor falls back to a fresh cell run).
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let (info, body) = snapshot::unframe(bytes)?;
+        let (info, sections) = snapshot::sections(bytes)?;
         let expected = (
             self.kernel.config.seed,
             snapshot::config_digest(&self.kernel.config),
@@ -1072,59 +1066,60 @@ impl Sim {
                 found: (info.seed, info.config_digest),
             });
         }
-        let mut r = SnapReader::new(body);
-        let seq = r.u64()?;
-        let peak_heap = r.usize()?;
-        let past_due_clamps = r.u64()?;
-        let last_clamp_requested = r.time()?;
-        let words = r.words()?;
-        if words.len() != 4 {
-            return Err(SnapshotError::Malformed("rng state"));
-        }
-        let rng = StdRng::from_state([words[0], words[1], words[2], words[3]]);
-        let nh = r.len()?;
-        // Rebuild whichever backend this sim runs: the entries were
-        // written (at, seq)-sorted, so in-order pushes reconstruct the
-        // schedule exactly in either backend.
-        let mut sched = SchedulerImpl::new(self.kernel.sched.backend());
-        for _ in 0..nh {
-            let at = r.time()?;
-            let eseq = r.u64()?;
-            let ev = snapshot::read_event(&mut r)?;
-            sched.push(Scheduled { at, seq: eseq, ev });
-        }
-        self.kernel.faults.load_state(&mut r)?;
-        self.kernel.san.load_state(&mut r)?;
-        self.kernel.packets.load_state(&mut r)?;
-        let nn = r.len()?;
-        if nn != self.nodes.len() {
+        let mut secs = snapshot::SectionCursor::new(sections);
+        let (seq, peak_heap, past_due_clamps, last_clamp_requested) = secs.read("kernel", |r| {
+            let odometers = (r.u64()?, r.usize()?, r.u64()?, r.time()?);
+            if (r.u64()?, r.u64()?) != (info.now_ns, info.events_processed) {
+                return Err(SnapshotError::Malformed("kernel section disagrees with header"));
+            }
+            Ok(odometers)
+        })?;
+        let rng = secs.read("rng", |r| match r.words()?[..] {
+            [a, b, c, d] => Ok(StdRng::from_state([a, b, c, d])),
+            _ => Err(SnapshotError::Malformed("rng state")),
+        })?;
+        // The entries were written (at, seq)-sorted, so in-order pushes
+        // reconstruct the schedule exactly.
+        let sched = secs.read("sched", |r| {
+            let mut sched = TimingWheel::default();
+            for _ in 0..r.len()? {
+                let (at, seq) = (r.time()?, r.u64()?);
+                sched.push(Scheduled { at, seq, ev: snapshot::read_event(r)? });
+            }
+            Ok(sched)
+        })?;
+        secs.read("faults", |r| self.kernel.faults.load_state(r))?;
+        secs.read("san", |r| self.kernel.san.load_state(r))?;
+        secs.read("slab", |r| self.kernel.packets.load_state(r))?;
+        // One section per node, then `run`, `trace`, `sanitizer`.
+        if secs.remaining() != self.nodes.len() + 3 {
             return Err(SnapshotError::Malformed("node count differs"));
         }
         {
             let Sim { nodes, host_cc, .. } = self;
-            for n in nodes.iter_mut() {
-                match (r.u8()?, n) {
-                    (0, NodeSlot::Host(h)) => h.load_state(&mut r, &**host_cc)?,
-                    (1, NodeSlot::Switch(s)) => s.load_state(&mut r)?,
-                    _ => return Err(SnapshotError::Malformed("node role differs")),
+            for (i, n) in nodes.iter_mut().enumerate() {
+                // A host where the snapshot has a switch (or vice versa)
+                // fails here: the role is the section name.
+                let name = n.section_name(i);
+                match n {
+                    NodeSlot::Host(h) => secs.read(&name, |r| h.load_state(r, &**host_cc))?,
+                    NodeSlot::Switch(s) => secs.read(&name, |r| s.load_state(r))?,
                 }
             }
         }
-        let nf = r.usize()?;
-        let finite = r.u64()?;
-        if nf != self.flows.len() || finite != self.finite_flows {
-            return Err(SnapshotError::Malformed("flow registration differs"));
-        }
-        self.stall_run = r.u64()?;
-        self.sampling_bootstrapped = r.bool()?;
-        self.profile_base_events = r.u64()?;
-        self.profile_base_sim_ns = r.u64()?;
-        self.profile_base_seq = r.u64()?;
-        self.trace.load_state(&mut r)?;
-        self.sanitizer.load_state(&mut r)?;
-        if !r.exhausted() {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
+        secs.read("run", |r| {
+            if (r.usize()?, r.u64()?) != (self.flows.len(), self.finite_flows) {
+                return Err(SnapshotError::Malformed("flow registration differs"));
+            }
+            self.stall_run = r.u64()?;
+            self.sampling_bootstrapped = r.bool()?;
+            self.profile_base_events = r.u64()?;
+            self.profile_base_sim_ns = r.u64()?;
+            self.profile_base_seq = r.u64()?;
+            Ok(())
+        })?;
+        secs.read("trace", |r| self.trace.load_state(r))?;
+        secs.read("sanitizer", |r| self.sanitizer.load_state(r))?;
         // All reads succeeded: commit the kernel dynamics.
         self.kernel.now = SimTime::from_nanos(info.now_ns);
         self.kernel.seq = seq;
@@ -1173,116 +1168,13 @@ impl Sim {
 
     // ------------------------------------------- divergence observatory
 
-    /// Serialize every subsystem's dynamic state as a separate named byte
-    /// stream, using the same `rocc-snapshot/v1` word codecs (and the
-    /// same section boundaries) as [`Sim::snapshot`]. This is the raw
-    /// material of the divergence observatory: hashing each component
-    /// yields [`Sim::state_digest`], and diffing two sims' streams
-    /// word-by-word localizes a divergence to the exact field group that
-    /// first disagreed (see [`crate::digest`]).
-    ///
-    /// Component order is canonical and stable: `kernel`, `rng`, `sched`,
-    /// `faults`, `san`, `slab`, one `host/N` / `switch/N` per node in
-    /// topology order, `run`, `trace`, `sanitizer`.
-    pub fn component_states(&self) -> Vec<crate::digest::ComponentState> {
-        use crate::digest::ComponentState;
-        let mut out = Vec::with_capacity(self.nodes.len() + 9);
-
-        // Kernel odometers and the clock.
-        let mut w = SnapWriter::new();
-        w.u64(self.kernel.seq);
-        w.usize(self.kernel.peak_heap);
-        w.u64(self.kernel.past_due_clamps);
-        w.time(self.kernel.last_clamp_requested);
-        w.time(self.kernel.now);
-        w.u64(self.events_processed);
-        out.push(ComponentState::new("kernel", w.into_bytes()));
-
-        // The run RNG stream.
-        let mut w = SnapWriter::new();
-        w.words(&self.kernel.rng.state());
-        out.push(ComponentState::new("rng", w.into_bytes()));
-
-        // The scheduler queue, (at, seq)-sorted exactly as the snapshot
-        // serializes it, so heap and wheel digests agree whenever their
-        // schedules do.
-        let mut w = SnapWriter::new();
-        let mut queued = self.kernel.sched.entries();
-        queued.sort_by_key(|&(at, seq, _)| (at, seq));
-        w.usize(queued.len());
-        for (at, seq, ev) in queued {
-            w.time(at);
-            w.u64(seq);
-            snapshot::write_event(&mut w, ev);
-        }
-        out.push(ComponentState::new("sched", w.into_bytes()));
-
-        // Fault cursors + the fault RNG ("both RNGs" live in rng/faults).
-        let mut w = SnapWriter::new();
-        self.kernel.faults.save_state(&mut w);
-        out.push(ComponentState::new("faults", w.into_bytes()));
-
-        let mut w = SnapWriter::new();
-        self.kernel.san.save_state(&mut w);
-        out.push(ComponentState::new("san", w.into_bytes()));
-
-        let mut w = SnapWriter::new();
-        self.kernel.packets.save_state(&mut w);
-        out.push(ComponentState::new("slab", w.into_bytes()));
-
-        // Per-node: host CC/transport state, switch queues/CC state.
-        for (i, n) in self.nodes.iter().enumerate() {
-            let mut w = SnapWriter::new();
-            let name = match n {
-                NodeSlot::Host(h) => {
-                    h.save_state(&mut w);
-                    format!("host/{i}")
-                }
-                NodeSlot::Switch(s) => {
-                    s.save_state(&mut w);
-                    format!("switch/{i}")
-                }
-            };
-            out.push(ComponentState::new(name, w.into_bytes()));
-        }
-
-        // Run bookkeeping (flow registrations are construction state, but
-        // the odometers move with the schedule).
-        let mut w = SnapWriter::new();
-        w.usize(self.flows.len());
-        w.u64(self.finite_flows);
-        w.u64(self.stall_run);
-        w.bool(self.sampling_bootstrapped);
-        w.u64(self.profile_base_events);
-        w.u64(self.profile_base_sim_ns);
-        w.u64(self.profile_base_seq);
-        out.push(ComponentState::new("run", w.into_bytes()));
-
-        // Telemetry counters and collected series.
-        let mut w = SnapWriter::new();
-        self.trace.save_state(&mut w);
-        out.push(ComponentState::new("trace", w.into_bytes()));
-
-        let mut w = SnapWriter::new();
-        self.sanitizer.save_state(&mut w);
-        out.push(ComponentState::new("sanitizer", w.into_bytes()));
-
-        out
-    }
-
     /// The next event this sim would dispatch — `(at, seq)`-minimum of
     /// the queue — decoded for humans. `None` when the queue is empty.
     /// The divergence bisector quotes this as "the first diverging
     /// event" in its report.
     pub fn next_event_brief(&self) -> Option<String> {
-        self.kernel
-            .sched
-            .entries()
-            .into_iter()
-            .min_by_key(|&(at, seq, _)| (at, seq))
-            .map(|(at, seq, ev)| {
-                format!("[at {} ns, seq {}] {:?}", at.as_nanos(), seq, ev)
-            })
+        let s = self.kernel.sched.peek()?;
+        Some(format!("[at {} ns, seq {}] {:?}", s.at.as_nanos(), s.seq, s.ev))
     }
 
     /// Deliberately flip one bit of one host's RP congestion-control
@@ -2273,7 +2165,7 @@ mod tests {
             Err(SnapshotError::ConfigMismatch { .. })
         ));
 
-        // Flipped body byte → DigestMismatch at unframe time.
+        // Flipped body byte → DigestMismatch before any section is read.
         let mut bad = snap.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0xff;
@@ -2552,40 +2444,5 @@ mod tests {
             sim.trace.telemetry.events.is_empty(),
             "no event published without the sanitizer mask"
         );
-    }
-
-    #[test]
-    fn scheduler_backend_swap_preserves_the_pending_schedule() {
-        // `set_scheduler_backend` migrates every pending event in (at,
-        // seq) order; a run split across a mid-flight swap must land on
-        // the same trajectory as an unswapped run.
-        let topo = two_hosts_one_switch();
-        let mut sim = Sim::new(
-            topo,
-            SimConfig::default(),
-            Box::new(NullHostCcFactory),
-            Box::new(NullSwitchCcFactory),
-        );
-        for i in 0..16u64 {
-            // Two events per instant so FIFO-within-timestamp matters.
-            sim.kernel
-                .schedule(SimTime::from_micros(5 + i / 2), Event::Sample);
-        }
-        let before: Vec<_> = {
-            let mut q = sim.kernel.sched.entries();
-            q.sort_by_key(|&(at, seq, _)| (at, seq));
-            q.into_iter().map(|(at, seq, _)| (at, seq)).collect()
-        };
-        let other = match sim.kernel.scheduler_backend() {
-            Backend::Heap => Backend::Wheel,
-            Backend::Wheel => Backend::Heap,
-        };
-        sim.kernel.set_scheduler_backend(other);
-        assert_eq!(sim.kernel.scheduler_backend(), other);
-        let mut popped = Vec::new();
-        while let Some(s) = sim.kernel.pop() {
-            popped.push((s.at, s.seq));
-        }
-        assert_eq!(popped, before, "swap must not reorder pending events");
     }
 }

@@ -98,7 +98,7 @@ pub mod prelude {
     };
     pub use crate::digest::{
         bisect_divergence, first_ledger_divergence, parse_ledger_jsonl, BisectOptions,
-        BisectOutcome, ComponentDigests, ComponentState, DigestLedger, DigestLedgerEntry,
+        BisectOutcome, ComponentDigests, DigestLedger, DigestLedgerEntry,
         DivergenceReport, LedgerDivergence, ParsedLedger, WordDiff, DIGEST_LEDGER_SCHEMA,
         DIVERGENCE_REPORT_SCHEMA,
     };
@@ -115,10 +115,7 @@ pub mod prelude {
     pub use crate::sanitizer::{
         PauseCycleNode, PauseReport, RunVerdict, Sanitizer, SanitizerReport, SimError,
     };
-    pub use crate::sched::{
-        Backend, HeapScheduler, SchedStats, Scheduled, Scheduler, SchedulerImpl, TimingWheel,
-        WHEEL_LEVELS,
-    };
+    pub use crate::sched::{SchedStats, Scheduled, TimingWheel, WHEEL_LEVELS};
     pub use crate::slab::{PacketRef, PacketSlab};
     pub use crate::snapshot::{
         config_digest, inspect, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC,

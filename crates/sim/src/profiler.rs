@@ -147,7 +147,7 @@ pub struct PhaseProfiler {
     armed: bool,
     heap_series: Vec<DepthSample>,
     /// Per-level wheel occupancy at each heap-depth sample, compacted in
-    /// lockstep with `heap_series` (all-zero rows under the heap backend).
+    /// lockstep with `heap_series`.
     level_series: Vec<[u64; WHEEL_LEVELS]>,
     heap_skip_n: u32,
     heap_skip: u32,
@@ -314,8 +314,7 @@ impl PhaseProfiler {
     /// Record the heap-depth sample a `true` return from
     /// [`PhaseProfiler::note_pop`] asked for. `heap_after` is the queue
     /// length after the pop, `slab_live` the live packet count, and
-    /// `levels` the scheduler's per-level bucket occupancy (all zeros
-    /// under the heap backend).
+    /// `levels` the scheduler's per-level bucket occupancy.
     pub fn note_heap_sample(
         &mut self,
         at_ns: u64,
@@ -422,8 +421,7 @@ impl PhaseProfiler {
     }
 
     /// The per-level wheel-occupancy series, row-aligned with
-    /// [`PhaseProfiler::heap_series`] (all-zero rows under the heap
-    /// backend).
+    /// [`PhaseProfiler::heap_series`].
     pub fn level_series(&self) -> &[[u64; WHEEL_LEVELS]] {
         &self.level_series
     }
@@ -524,7 +522,7 @@ impl PhaseProfiler {
              \"events_per_sec\":{},\
              \"sampling\":{{\"stride\":{},\"timed_events\":{}}},\
              \"phases\":[{}],\
-             \"scheduler\":{{\"backend\":\"{}\",\"pushes\":{},\"pops\":{},\"peak_heap\":{},\"pending\":{},\
+             \"scheduler\":{{\"backend\":\"wheel\",\"pushes\":{},\"pops\":{},\"peak_heap\":{},\"pending\":{},\
              \"cascades\":{},\"cascaded_events\":{},\"rebases\":{},\"max_level\":{},\
              \"level_depths\":[{}],\
              \"burst_hist\":{},\
@@ -540,7 +538,6 @@ impl PhaseProfiler {
             self.stride,
             self.timed_events,
             phases.join(","),
-            ctx.sched_backend,
             ctx.pushes,
             self.pops(),
             ctx.peak_heap,
@@ -584,13 +581,9 @@ pub struct ProfileContext {
     pub slab_peak: usize,
     /// Entries in the flow directory (the hottest fastmap).
     pub flow_dir_entries: usize,
-    /// Scheduler backend name ("heap" / "wheel").
-    pub sched_backend: &'static str,
-    /// Scheduler introspection counters (cascades, rebases; all zero
-    /// under the heap backend).
+    /// Scheduler introspection counters (cascades, rebases).
     pub sched: SchedStats,
-    /// Per-level wheel occupancy at export time (all zeros under the
-    /// heap backend).
+    /// Per-level wheel occupancy at export time.
     pub level_depths: [u64; WHEEL_LEVELS],
 }
 
@@ -618,7 +611,6 @@ mod tests {
             slab_live: 2,
             slab_peak: 17,
             flow_dir_entries: 6,
-            sched_backend: "wheel",
             sched: SchedStats {
                 cascades: 3,
                 cascaded_events: 11,

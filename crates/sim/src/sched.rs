@@ -1,21 +1,19 @@
-//! Event schedulers: the hierarchical timing wheel and the binary-heap
-//! oracle behind the kernel's event queue.
+//! The event scheduler: the hierarchical timing wheel behind the kernel's
+//! event queue.
 //!
 //! The engine dispatches events in `(at, seq)` order — absolute
 //! nanosecond timestamp, then insertion sequence number — and every run
-//! must be bit-for-bit deterministic. Both backends here implement that
-//! total order exactly; they differ only in cost:
+//! must be bit-for-bit deterministic. [`TimingWheel`] is a hierarchical
+//! timing wheel (Varghese & Lauck): 8 levels × 256 slots of FIFO buckets
+//! keyed by the bytes of the timestamp, covering the full `u64` nanosecond
+//! range (so the `SimTime::MAX` sentinel needs no special case). Push and
+//! pop are O(1) amortized; per-level occupancy bitmaps make the next-slot
+//! scan four word tests.
 //!
-//! * [`HeapScheduler`] is the original `BinaryHeap<Reverse<Scheduled>>`:
-//!   O(log n) per push/pop with whole-`Scheduled` sift moves. It is kept
-//!   as the *differential-testing oracle* — trivially correct by
-//!   construction — and selectable via `ROCC_SCHEDULER=heap`.
-//! * [`TimingWheel`] is a hierarchical timing wheel (Varghese & Lauck):
-//!   8 levels × 256 slots of FIFO buckets keyed by the bytes of the
-//!   timestamp, covering the full `u64` nanosecond range (so the
-//!   `SimTime::MAX` sentinel needs no special case). Push and pop are
-//!   O(1) amortized; per-level occupancy bitmaps make the next-slot scan
-//!   four word tests. This is the default backend.
+//! The reference model for that order is `BinaryHeap<Reverse<Scheduled>>`
+//! over [`Scheduled`]'s `Ord` — trivially correct by construction. It is
+//! not an engine backend: the differential proptest below and
+//! `tests/scheduler.rs` build it directly and check the wheel against it.
 //!
 //! ## Why the wheel preserves `(at, seq)` order bit-identically
 //!
@@ -51,8 +49,7 @@
 
 use crate::engine::Event;
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// One queued event: absolute due time, insertion sequence number (the
 /// deterministic tiebreak), and the event payload.
@@ -109,94 +106,6 @@ pub struct SchedStats {
     pub rebases: u64,
     /// Highest wheel level any event was ever inserted at.
     pub max_level: u8,
-}
-
-/// The scheduling contract the kernel drives and both backends honor:
-/// events pop in ascending `(at, seq)` order, with [`Scheduler::requeue`]
-/// restoring the most recently popped minimum to the head.
-pub trait Scheduler {
-    /// Insert an event. `at` may be below the most recently popped
-    /// timestamp (see the module docs on rebasing); order among live
-    /// entries is always `(at, seq)`.
-    fn push(&mut self, s: Scheduled);
-
-    /// Remove and return the minimum `(at, seq)` entry.
-    fn pop(&mut self) -> Option<Scheduled>;
-
-    /// Put back an event just obtained from [`Scheduler::pop`], restoring
-    /// it to the head of the queue. Precondition: `s` was the most recent
-    /// pop and nothing was pushed or popped since — i.e. `s` is still ≤
-    /// every live entry. (The run loops use this for not-yet-due events.)
-    fn requeue(&mut self, s: Scheduled);
-
-    /// Live entry count.
-    fn len(&self) -> usize;
-
-    /// Whether no entries are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every live entry, in arbitrary order (the snapshot codec sorts by
-    /// `(at, seq)` itself so the serialized form is backend-independent).
-    fn entries(&self) -> Vec<(SimTime, u64, &Event)>;
-
-    /// Introspection counters (all-zero for the heap).
-    fn stats(&self) -> SchedStats;
-
-    /// Current per-level entry counts (all-zero for the heap), for the
-    /// profiler's bucket-occupancy series.
-    fn level_depths(&self) -> [u64; WHEEL_LEVELS];
-
-    /// Backend name for reports ("heap" / "wheel").
-    fn name(&self) -> &'static str;
-}
-
-// ------------------------------------------------------------- heap oracle
-
-/// The original binary-heap scheduler, kept as the differential-testing
-/// oracle (`ROCC_SCHEDULER=heap`).
-#[derive(Debug, Default)]
-pub struct HeapScheduler {
-    heap: BinaryHeap<Reverse<Scheduled>>,
-}
-
-impl Scheduler for HeapScheduler {
-    #[inline]
-    fn push(&mut self, s: Scheduled) {
-        self.heap.push(Reverse(s));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Scheduled> {
-        self.heap.pop().map(|r| r.0)
-    }
-
-    #[inline]
-    fn requeue(&mut self, s: Scheduled) {
-        self.heap.push(Reverse(s));
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn entries(&self) -> Vec<(SimTime, u64, &Event)> {
-        self.heap.iter().map(|r| (r.0.at, r.0.seq, &r.0.ev)).collect()
-    }
-
-    fn stats(&self) -> SchedStats {
-        SchedStats::default()
-    }
-
-    fn level_depths(&self) -> [u64; WHEEL_LEVELS] {
-        [0; WHEEL_LEVELS]
-    }
-
-    fn name(&self) -> &'static str {
-        "heap"
-    }
 }
 
 // ------------------------------------------------------------ timing wheel
@@ -331,11 +240,12 @@ impl TimingWheel {
         }
         self.scratch = moved;
     }
-}
 
-impl Scheduler for TimingWheel {
+    /// Insert an event. `at` may be below the most recently popped
+    /// timestamp (see the module docs on rebasing); order among live
+    /// entries is always `(at, seq)`.
     #[inline]
-    fn push(&mut self, s: Scheduled) {
+    pub fn push(&mut self, s: Scheduled) {
         if s.at.as_nanos() < self.now_ns {
             self.rebase(s.at.as_nanos());
         }
@@ -343,8 +253,9 @@ impl Scheduler for TimingWheel {
         self.len += 1;
     }
 
+    /// Remove and return the minimum `(at, seq)` entry.
     #[inline]
-    fn pop(&mut self) -> Option<Scheduled> {
+    pub fn pop(&mut self) -> Option<Scheduled> {
         if self.len == 0 {
             return None;
         }
@@ -368,8 +279,22 @@ impl Scheduler for TimingWheel {
         }
     }
 
+    /// The minimum `(at, seq)` entry, without removing it.
+    pub fn peek(&self) -> Option<&Scheduled> {
+        // The slot `pop` would drain or cascade next — the lowest occupied
+        // slot of the lowest occupied level — holds the global minimum.
+        // Overflow buckets are FIFO, not sorted: take their minimum.
+        let lvl = (0..WHEEL_LEVELS).find(|&l| self.level_len[l] > 0)?;
+        let slot = first_occupied(&self.occ[lvl])?;
+        self.buckets[(lvl << SLOT_BITS) | slot].iter().min()
+    }
+
+    /// Put back an event just obtained from [`TimingWheel::pop`], restoring
+    /// it to the head of the queue. Precondition: `s` was the most recent
+    /// pop and nothing was pushed or popped since — i.e. `s` is still ≤
+    /// every live entry. (The run loops use this for not-yet-due events.)
     #[inline]
-    fn requeue(&mut self, s: Scheduled) {
+    pub fn requeue(&mut self, s: Scheduled) {
         // `s` was the most recent pop, so it is ≤ every live entry:
         // front-pushed into its bucket it becomes the head again, even
         // when the bucket already holds equal-`at`, later-seq events.
@@ -385,12 +310,20 @@ impl Scheduler for TimingWheel {
         self.len += 1;
     }
 
+    /// Live entry count.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn entries(&self) -> Vec<(SimTime, u64, &Event)> {
+    /// Whether no entries are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every live entry, in arbitrary order (the snapshot codec sorts by
+    /// `(at, seq)` itself).
+    pub fn entries(&self) -> Vec<(SimTime, u64, &Event)> {
         self.buckets
             .iter()
             .flatten()
@@ -398,146 +331,15 @@ impl Scheduler for TimingWheel {
             .collect()
     }
 
-    fn stats(&self) -> SchedStats {
+    /// Introspection counters.
+    pub fn stats(&self) -> SchedStats {
         self.stats
     }
 
-    fn level_depths(&self) -> [u64; WHEEL_LEVELS] {
+    /// Current per-level entry counts, for the profiler's
+    /// bucket-occupancy series.
+    pub fn level_depths(&self) -> [u64; WHEEL_LEVELS] {
         self.level_len
-    }
-
-    fn name(&self) -> &'static str {
-        "wheel"
-    }
-}
-
-// ---------------------------------------------------------------- backend
-
-/// Which scheduler backend the kernel runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The binary-heap oracle.
-    Heap,
-    /// The hierarchical timing wheel (default).
-    Wheel,
-}
-
-impl Backend {
-    /// Resolve the backend from the `ROCC_SCHEDULER` environment variable
-    /// (`heap` | `wheel`; unset or empty means wheel). The choice lives
-    /// outside [`crate::config::SimConfig`] on purpose: both backends
-    /// produce bit-identical schedules, so it must not perturb the
-    /// config digest that snapshots and observatory goldens bind to.
-    pub fn from_env() -> Backend {
-        match std::env::var("ROCC_SCHEDULER").as_deref() {
-            Ok("heap") => Backend::Heap,
-            Ok("wheel") | Ok("") | Err(_) => Backend::Wheel,
-            Ok(other) => panic!("ROCC_SCHEDULER={other:?}: expected \"heap\" or \"wheel\""),
-        }
-    }
-
-    /// Stable lowercase name, as recorded in bench documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Heap => "heap",
-            Backend::Wheel => "wheel",
-        }
-    }
-}
-
-/// Enum dispatcher the kernel embeds: static dispatch over the two
-/// backends (one predictable branch per op, no vtable), while the
-/// [`Scheduler`] trait stays available for differential tests that drive
-/// backends generically.
-// One instance lives embedded in the kernel for the whole run; boxing
-// the wheel to shrink the enum would put a pointer chase on every
-// push/pop, which is exactly what this module exists to avoid.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum SchedulerImpl {
-    /// Binary-heap oracle.
-    Heap(HeapScheduler),
-    /// Hierarchical timing wheel.
-    Wheel(TimingWheel),
-}
-
-impl SchedulerImpl {
-    /// Fresh, empty scheduler of the given backend.
-    pub fn new(backend: Backend) -> Self {
-        match backend {
-            Backend::Heap => SchedulerImpl::Heap(HeapScheduler::default()),
-            Backend::Wheel => SchedulerImpl::Wheel(TimingWheel::default()),
-        }
-    }
-
-    /// Which backend this is.
-    pub fn backend(&self) -> Backend {
-        match self {
-            SchedulerImpl::Heap(_) => Backend::Heap,
-            SchedulerImpl::Wheel(_) => Backend::Wheel,
-        }
-    }
-}
-
-impl Scheduler for SchedulerImpl {
-    #[inline]
-    fn push(&mut self, s: Scheduled) {
-        match self {
-            SchedulerImpl::Heap(h) => h.push(s),
-            SchedulerImpl::Wheel(w) => w.push(s),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Scheduled> {
-        match self {
-            SchedulerImpl::Heap(h) => h.pop(),
-            SchedulerImpl::Wheel(w) => w.pop(),
-        }
-    }
-
-    #[inline]
-    fn requeue(&mut self, s: Scheduled) {
-        match self {
-            SchedulerImpl::Heap(h) => h.requeue(s),
-            SchedulerImpl::Wheel(w) => w.requeue(s),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            SchedulerImpl::Heap(h) => h.len(),
-            SchedulerImpl::Wheel(w) => w.len(),
-        }
-    }
-
-    fn entries(&self) -> Vec<(SimTime, u64, &Event)> {
-        match self {
-            SchedulerImpl::Heap(h) => h.entries(),
-            SchedulerImpl::Wheel(w) => w.entries(),
-        }
-    }
-
-    fn stats(&self) -> SchedStats {
-        match self {
-            SchedulerImpl::Heap(h) => Scheduler::stats(h),
-            SchedulerImpl::Wheel(w) => Scheduler::stats(w),
-        }
-    }
-
-    fn level_depths(&self) -> [u64; WHEEL_LEVELS] {
-        match self {
-            SchedulerImpl::Heap(h) => h.level_depths(),
-            SchedulerImpl::Wheel(w) => w.level_depths(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            SchedulerImpl::Heap(h) => h.name(),
-            SchedulerImpl::Wheel(w) => w.name(),
-        }
     }
 }
 
@@ -545,6 +347,8 @@ impl Scheduler for SchedulerImpl {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn ev() -> Event {
         Event::Sample
@@ -558,8 +362,8 @@ mod tests {
         }
     }
 
-    /// Drain a scheduler completely, returning the `(at, seq)` pop order.
-    fn drain(s: &mut impl Scheduler) -> Vec<(u64, u64)> {
+    /// Drain a wheel completely, returning the `(at, seq)` pop order.
+    fn drain(s: &mut TimingWheel) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(x) = s.pop() {
             out.push((x.at.as_nanos(), x.seq));
@@ -571,21 +375,16 @@ mod tests {
     fn same_timestamp_bursts_pop_in_seq_order() {
         // Satellite: same-timestamp FIFO bursts. A burst of events at one
         // instant interleaved with other instants must pop in (at, seq).
-        for mk in [
-            || Box::new(SchedulerImpl::new(Backend::Wheel)),
-            || Box::new(SchedulerImpl::new(Backend::Heap)),
-        ] {
-            let mut s = mk();
-            let mut seq = 0u64;
-            let mut expect = Vec::new();
-            for at in [500u64, 100, 500, 500, 100, 7, 500] {
-                seq += 1;
-                s.push(sch(at, seq));
-                expect.push((at, seq));
-            }
-            expect.sort_unstable();
-            assert_eq!(drain(&mut *s), expect, "{} backend", s.name());
+        let mut s = TimingWheel::default();
+        let mut seq = 0u64;
+        let mut expect = Vec::new();
+        for at in [500u64, 100, 500, 500, 100, 7, 500] {
+            seq += 1;
+            s.push(sch(at, seq));
+            expect.push((at, seq));
         }
+        expect.sort_unstable();
+        assert_eq!(drain(&mut s), expect);
     }
 
     #[test]
@@ -606,19 +405,18 @@ mod tests {
         for (i, &at) in ats.iter().enumerate() {
             w.push(sch(at, i as u64 + 1));
         }
-        assert_eq!(Scheduler::stats(&w).max_level as usize, WHEEL_LEVELS - 1);
+        assert_eq!(w.stats().max_level as usize, WHEEL_LEVELS - 1);
         let order = drain(&mut w);
         let mut expect: Vec<(u64, u64)> =
             ats.iter().enumerate().map(|(i, &a)| (a, i as u64 + 1)).collect();
         expect.sort_unstable();
         assert_eq!(order, expect);
         assert!(
-            Scheduler::stats(&w).cascades > 0,
+            w.stats().cascades > 0,
             "multi-level spread must cascade"
         );
-        assert_eq!(
-            Scheduler::stats(&w).cascaded_events >= ats.len() as u64 - 2,
-            true,
+        assert!(
+            w.stats().cascaded_events >= ats.len() as u64 - 2,
             "most events lived above level 0"
         );
     }
@@ -644,24 +442,18 @@ mod tests {
 
     #[test]
     fn requeue_restores_the_head_before_equal_timestamp_events() {
-        for mk in [
-            || SchedulerImpl::new(Backend::Wheel),
-            || SchedulerImpl::new(Backend::Heap),
-        ] {
-            let mut s = mk();
-            s.push(sch(42, 1));
-            s.push(sch(42, 2));
-            s.push(sch(42, 3));
-            let head = s.pop().unwrap();
-            assert_eq!(head.seq, 1);
-            s.requeue(head);
-            assert_eq!(
-                drain(&mut s),
-                vec![(42, 1), (42, 2), (42, 3)],
-                "{} backend: requeue must restore the head",
-                s.name()
-            );
-        }
+        let mut s = TimingWheel::default();
+        s.push(sch(42, 1));
+        s.push(sch(42, 2));
+        s.push(sch(42, 3));
+        let head = s.pop().unwrap();
+        assert_eq!(head.seq, 1);
+        s.requeue(head);
+        assert_eq!(
+            drain(&mut s),
+            vec![(42, 1), (42, 2), (42, 3)],
+            "requeue must restore the head"
+        );
     }
 
     #[test]
@@ -674,7 +466,7 @@ mod tests {
         w.push(sch(4800, 2)); // below the clock → rebase
         w.push(sch(5100, 3));
         w.push(sch(4800, 4));
-        assert!(Scheduler::stats(&w).rebases >= 1);
+        assert!(w.stats().rebases >= 1);
         assert_eq!(drain(&mut w), vec![(4800, 2), (4800, 4), (5100, 3)]);
     }
 
@@ -694,31 +486,32 @@ mod tests {
     #[test]
     fn level_depths_and_len_track_contents() {
         let mut w = TimingWheel::default();
-        assert!(Scheduler::is_empty(&w));
+        assert!(w.is_empty());
         w.push(sch(1, 1));
         w.push(sch(0x10_00, 2));
         w.push(sch(0x10_00_00, 3));
-        assert_eq!(Scheduler::len(&w), 3);
-        let depths = Scheduler::level_depths(&w);
+        assert_eq!(w.len(), 3);
+        let depths = w.level_depths();
         assert_eq!(depths.iter().sum::<u64>(), 3);
         assert_eq!(depths[0], 1);
         assert_eq!(depths[1], 1);
         assert_eq!(depths[2], 1);
-        assert_eq!(Scheduler::entries(&w).len(), 3);
+        assert_eq!(w.entries().len(), 3);
         let _ = w.pop();
-        assert_eq!(Scheduler::len(&w), 2);
+        assert_eq!(w.len(), 2);
     }
 
-    // Satellite: always-on differential proptest, heap vs wheel over
-    // random event streams (pushes with clustered timestamps, pops, and
-    // head requeues — the full kernel op set).
+    // Always-on differential proptest: the wheel against the reference
+    // model, `BinaryHeap<Reverse<Scheduled>>`, over random event streams
+    // (pushes with clustered timestamps, pops, and head requeues — the
+    // full kernel op set).
     proptest! {
         #[test]
         fn differential_heap_vs_wheel(ops in proptest::collection::vec(
             (0u8..10, 0u64..5, 0u64..64), 1..400)
         ) {
-            let mut heap = SchedulerImpl::new(Backend::Heap);
-            let mut wheel = SchedulerImpl::new(Backend::Wheel);
+            let mut heap = BinaryHeap::new();
+            let mut wheel = TimingWheel::default();
             let mut seq = 0u64;
             let mut clock = 0u64;
             for (op, scale, delta) in ops {
@@ -728,11 +521,11 @@ mod tests {
                     // at identical instants are common by construction).
                     seq += 1;
                     let at = clock + delta * 257u64.pow(scale as u32);
-                    heap.push(sch(at, seq));
+                    heap.push(Reverse(sch(at, seq)));
                     wheel.push(sch(at, seq));
                 } else if op < 9 {
                     // Pop from both; results must agree exactly.
-                    let a = heap.pop().map(|s| (s.at.as_nanos(), s.seq));
+                    let a = heap.pop().map(|Reverse(s)| (s.at.as_nanos(), s.seq));
                     let b = wheel.pop().map(|s| (s.at.as_nanos(), s.seq));
                     prop_assert_eq!(a, b, "pop order diverged");
                     if let Some((at, _)) = a {
@@ -744,16 +537,17 @@ mod tests {
                     // so later pushes can land below the wheel clock and
                     // exercise the rebase path.
                     if let (Some(a), Some(b)) = (heap.pop(), wheel.pop()) {
-                        prop_assert_eq!((a.at, a.seq), (b.at, b.seq));
-                        heap.requeue(a);
+                        prop_assert_eq!((a.0.at, a.0.seq), (b.at, b.seq));
+                        heap.push(a);
                         wheel.requeue(b);
                     }
                 }
                 prop_assert_eq!(heap.len(), wheel.len());
+                prop_assert_eq!(heap.peek().map(|r| &r.0), wheel.peek());
             }
             // Full drain must agree.
             loop {
-                let a = heap.pop().map(|s| (s.at.as_nanos(), s.seq));
+                let a = heap.pop().map(|Reverse(s)| (s.at.as_nanos(), s.seq));
                 let b = wheel.pop().map(|s| (s.at.as_nanos(), s.seq));
                 prop_assert_eq!(a, b, "drain order diverged");
                 if a.is_none() {

@@ -1,4 +1,4 @@
-//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v1` format.
+//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v2` format.
 //!
 //! A snapshot captures the complete *dynamic* state of a [`crate::engine::Sim`]
 //! — scheduler heap, packet slab, switch queues and PFC state, host
@@ -18,11 +18,20 @@
 //! seed-zeroed FNV-1a config digest in the header, plus structural checks
 //! (node counts, watch-list lengths) during decode.
 //!
-//! Wire format: a 16-byte magic (`rocc-snapshot/v1`), a fixed header
-//! (seed, config digest, sim time, event count), a length-prefixed body of
-//! little-endian primitives, and a trailing FNV-1a-64 digest over
-//! everything before it. Corruption of any byte is caught by the trailer
-//! before any state is applied.
+//! Wire format: a 16-byte magic (`rocc-snapshot/v2`), a fixed header
+//! (seed, config digest, sim time, event count, body length), a body, and
+//! a trailing FNV-1a-64 digest over everything before it. The body is the
+//! section payloads back to back, each a run of little-endian primitives
+//! — `kernel`, `rng`, `sched`, `faults`, `san`, `slab`, one `host/N` or
+//! `switch/N` per node, `run`, `trace`, `sanitizer` — then the section
+//! table, `(name, payload length)` per section in the same order, then
+//! two footer words: the section count and the table's offset in the
+//! body. (The table trails the payloads so the buffer the sections were
+//! written into becomes the snapshot in place, without a copy.)
+//! Corruption of any byte is caught by the trailer before any state is
+//! applied. The per-subsystem state digests of
+//! [`crate::digest`] are the FNV-1a-64 of these same section payloads, so
+//! equal snapshots have equal digests by construction.
 
 use crate::cc::FeedbackEvent;
 use crate::config::SimConfig;
@@ -34,10 +43,11 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PortId};
 use crate::trace::{FctRecord, PfcEvent, Sample};
 use crate::units::BitRate;
+use rocc_stats::digest::fnv1a_64;
 use std::fmt;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v1";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v2";
 
 /// Byte length of the fixed header (magic + seed + config digest + now +
 /// events + body length).
@@ -48,7 +58,7 @@ pub const HEADER_LEN: usize = 16 + 8 * 5;
 /// a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The leading magic is not `rocc-snapshot/v1` (wrong file, wrong
+    /// The leading magic is not `rocc-snapshot/v2` (wrong file, wrong
     /// version, or garbage).
     BadMagic,
     /// The byte stream ended before the declared structure did.
@@ -70,14 +80,15 @@ pub enum SnapshotError {
         found: (u64, u64),
     },
     /// Structurally invalid content (bad enum tag, count mismatch against
-    /// the rebuilt `Sim`). The static string names the decode site.
+    /// the rebuilt `Sim`, unknown / missing / reordered section). The
+    /// static string names the decode site.
     Malformed(&'static str),
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v1 file"),
+            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v2 file"),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::DigestMismatch { computed, stored } => write!(
                 f,
@@ -95,19 +106,13 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64-bit digest (the workspace's artifact-digest convention,
-/// shared via `rocc_stats::digest` — see `rocc_core::digest`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    rocc_stats::digest::fnv1a_64(bytes)
-}
-
 /// Seed-independent configuration digest: FNV-1a over the `Debug` render
 /// of the config with its seed zeroed, so one digest covers a whole seed
 /// sweep of the same cell configuration.
 pub fn config_digest(config: &SimConfig) -> u64 {
     let mut c = config.clone();
     c.seed = 0;
-    fnv1a(format!("{c:?}").as_bytes())
+    fnv1a_64(format!("{c:?}").as_bytes())
 }
 
 /// Parsed snapshot header, returned by [`inspect`] without touching the
@@ -154,7 +159,7 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
     }
     let content = &bytes[..bytes.len() - 8];
     let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let computed = fnv1a(content);
+    let computed = fnv1a_64(content);
     if computed != stored {
         return Err(SnapshotError::DigestMismatch { computed, stored });
     }
@@ -172,14 +177,34 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
 // Primitive writer/reader
 // ---------------------------------------------------------------------------
 
-/// Append-only little-endian byte sink for snapshot bodies.
+/// Append-only little-endian byte sink for snapshot sections.
 pub(crate) struct SnapWriter {
+    /// [`HEADER_LEN`] reserved bytes ([`frame`] fills them in), then the
+    /// section payloads.
     buf: Vec<u8>,
+    /// `(name, start offset into buf)` of every section opened so far.
+    starts: Vec<(String, usize)>,
 }
 
 impl SnapWriter {
     pub(crate) fn new() -> Self {
-        SnapWriter { buf: Vec::with_capacity(4096) }
+        let mut buf = Vec::with_capacity(4096);
+        buf.resize(HEADER_LEN, 0);
+        SnapWriter { buf, starts: Vec::new() }
+    }
+
+    /// Open the section `name`: everything written until the next call
+    /// (or [`SnapWriter::finish`]) is its payload.
+    pub(crate) fn section(&mut self, name: impl Into<String>) {
+        self.starts.push((name.into(), self.buf.len()));
+    }
+
+    pub(crate) fn finish(self) -> Sections {
+        debug_assert!(
+            self.starts.first().map_or(self.buf.len(), |s| s.1) == HEADER_LEN,
+            "bytes written before the first section"
+        );
+        Sections { buf: self.buf, starts: self.starts }
     }
 
     pub(crate) fn u8(&mut self, v: u8) {
@@ -244,8 +269,28 @@ impl SnapWriter {
         self.u64(r.as_bps());
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    #[cfg(test)]
+    pub(crate) fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.split_off(HEADER_LEN)
+    }
+}
+
+/// A sim's dynamic state as one buffer of named sections, in the
+/// canonical order `Sim::sections` writes them: what [`frame`] turns into
+/// a snapshot, and the unit of digesting and of word-level diffing.
+pub(crate) struct Sections {
+    buf: Vec<u8>,
+    starts: Vec<(String, usize)>,
+}
+
+impl Sections {
+    /// `(name, payload)` of every section, in written order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        let ends = self.starts.iter().skip(1).map(|s| s.1).chain([self.buf.len()]);
+        self.starts
+            .iter()
+            .zip(ends)
+            .map(|((name, start), end)| (name.as_str(), &self.buf[*start..end]))
     }
 }
 
@@ -261,7 +306,7 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(SnapshotError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -320,10 +365,13 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, SnapshotError> {
+    fn str_ref(&mut self) -> Result<&'a str, SnapshotError> {
         let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Malformed("utf8 string"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| SnapshotError::Malformed("utf8 string"))
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String, SnapshotError> {
+        self.str_ref().map(str::to_owned)
     }
 
     pub(crate) fn words(&mut self) -> Result<Vec<u64>, SnapshotError> {
@@ -347,10 +395,47 @@ impl<'a> SnapReader<'a> {
         Ok(BitRate::from_bps(self.u64()?))
     }
 
-    /// True once every body byte has been consumed (restore asserts this:
-    /// trailing garbage means the decode drifted from the encode).
+    /// True once every byte has been consumed (restore asserts this per
+    /// section: trailing garbage means the decode drifted from the encode).
     pub(crate) fn exhausted(&self) -> bool {
         self.pos == self.buf.len()
+    }
+}
+
+/// In-order walk over a snapshot's sections for `Sim::restore`: each
+/// [`SectionCursor::read`] names the section it expects next, so an
+/// unknown, missing or reordered section is an error, not a silent skip.
+pub(crate) struct SectionCursor<'a> {
+    secs: std::vec::IntoIter<Section<'a>>,
+}
+
+impl<'a> SectionCursor<'a> {
+    pub(crate) fn new(secs: Vec<Section<'a>>) -> Self {
+        SectionCursor { secs: secs.into_iter() }
+    }
+
+    /// Sections not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.secs.len()
+    }
+
+    /// Decode the next section, which must be `name`, with `f`, which
+    /// must consume its payload exactly.
+    pub(crate) fn read<T>(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&mut SnapReader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let (found, payload) = self.secs.next().ok_or(SnapshotError::Malformed("missing section"))?;
+        if found != name {
+            return Err(SnapshotError::Malformed("unexpected section"));
+        }
+        let mut r = SnapReader::new(payload);
+        let v = f(&mut r)?;
+        if !r.exhausted() {
+            return Err(SnapshotError::Malformed("trailing bytes"));
+        }
+        Ok(v)
     }
 }
 
@@ -778,56 +863,109 @@ pub(crate) fn read_pfc_event(r: &mut SnapReader<'_>) -> Result<PfcEvent, Snapsho
     })
 }
 
-/// Frame a finished body into the final snapshot byte stream: magic,
-/// header words, body, FNV trailer.
+/// Frame serialized sections into the final snapshot byte stream, in
+/// place: fill in the reserved header, append the section table, its
+/// footer and the FNV trailer.
 pub(crate) fn frame(
     seed: u64,
     config_digest: u64,
     now_ns: u64,
     events_processed: u64,
-    body: Vec<u8>,
+    sections: Sections,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 8);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&seed.to_le_bytes());
-    out.extend_from_slice(&config_digest.to_le_bytes());
-    out.extend_from_slice(&now_ns.to_le_bytes());
-    out.extend_from_slice(&events_processed.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    let digest = fnv1a(&out);
+    let mut table = Vec::new();
+    for (name, payload) in sections.iter() {
+        table.extend_from_slice(&(name.len() as u64).to_le_bytes());
+        table.extend_from_slice(name.as_bytes());
+        table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    }
+    let Sections { buf: mut out, starts } = sections;
+    let table_at = (out.len() - HEADER_LEN) as u64;
+    out.extend_from_slice(&table);
+    out.extend_from_slice(&(starts.len() as u64).to_le_bytes());
+    out.extend_from_slice(&table_at.to_le_bytes());
+    let body_len = (out.len() - HEADER_LEN) as u64;
+    out[..16].copy_from_slice(SNAPSHOT_MAGIC);
+    let header = [seed, config_digest, now_ns, events_processed, body_len];
+    for (slot, word) in out[16..HEADER_LEN].chunks_exact_mut(8).zip(header) {
+        slot.copy_from_slice(&word.to_le_bytes());
+    }
+    let digest = fnv1a_64(&out);
     out.extend_from_slice(&digest.to_le_bytes());
     out
 }
 
-/// Split a framed snapshot into `(info, body)` after full validation.
-pub(crate) fn unframe(bytes: &[u8]) -> Result<(SnapshotInfo, &[u8]), SnapshotError> {
+/// One section of a validated snapshot: `(name, payload)`.
+pub type Section<'a> = (&'a str, &'a [u8]);
+
+/// Validate a snapshot (as [`inspect`] does) and split it into its header
+/// and its sections in file order, decoding none of the payloads. The
+/// FNV-1a-64 of a payload is that component's entry in
+/// [`crate::engine::Sim::state_digest`].
+pub fn sections(bytes: &[u8]) -> Result<(SnapshotInfo, Vec<Section<'_>>), SnapshotError> {
     let info = inspect(bytes)?;
     let body = &bytes[HEADER_LEN..bytes.len() - 8];
-    Ok((info, body))
+    let foot = body.len().checked_sub(16).ok_or(SnapshotError::Truncated)?;
+    let mut footer = SnapReader::new(&body[foot..]);
+    let (n, table_at) = (footer.usize()?, footer.usize()?);
+    // A table entry is at least two length words: bound the count by the
+    // table's bytes before allocating for it.
+    if table_at > foot || n > (foot - table_at) / 16 {
+        return Err(SnapshotError::Malformed("section table"));
+    }
+    let mut payloads = SnapReader::new(&body[..table_at]);
+    let mut table = SnapReader::new(&body[table_at..foot]);
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (name, len) = (table.str_ref()?, table.usize()?);
+        out.push((name, payloads.take(len)?));
+    }
+    if !(table.exhausted() && payloads.exhausted()) {
+        return Err(SnapshotError::Malformed("trailing bytes"));
+    }
+    Ok((info, out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Two sections, `a` = one u64 word and `b` = `fill` repeated.
+    fn two_sections(fill: &[u8]) -> Sections {
+        let mut w = SnapWriter::new();
+        w.section("a");
+        w.u64(7);
+        w.section("b");
+        for &x in fill {
+            w.u8(x);
+        }
+        w.finish()
+    }
+
     #[test]
     fn frame_roundtrip_and_inspect() {
-        let body = vec![1u8, 2, 3, 4, 5];
-        let bytes = frame(42, 0xabcd, 1000, 77, body.clone());
+        let bytes = frame(42, 0xabcd, 1000, 77, two_sections(&[1, 2, 3]));
         let info = inspect(&bytes).unwrap();
         assert_eq!(info.seed, 42);
         assert_eq!(info.config_digest, 0xabcd);
         assert_eq!(info.now_ns, 1000);
         assert_eq!(info.events_processed, 77);
-        assert_eq!(info.body_len, 5);
-        let (_, b) = unframe(&bytes).unwrap();
-        assert_eq!(b, &body[..]);
+        // Payloads, two (name length, 1-byte name, payload length), footer.
+        assert_eq!(info.body_len, 8 + 3 + 2 * 17 + 16);
+        assert_eq!(
+            sections(&bytes).unwrap().1,
+            vec![("a", &7u64.to_le_bytes()[..]), ("b", &[1u8, 2, 3][..])]
+        );
+        // A payload longer than the table that describes it (and than the
+        // reader's 1 MiB length-prefix ceiling) still splits.
+        let big = vec![5u8; (1 << 20) + 1];
+        let bytes = frame(1, 2, 3, 4, two_sections(&big));
+        assert_eq!(sections(&bytes).unwrap().1[1], ("b", &big[..]));
     }
 
     #[test]
     fn corruption_is_detected() {
-        let mut bytes = frame(1, 2, 3, 4, vec![9u8; 64]);
+        let mut bytes = frame(1, 2, 3, 4, two_sections(&[9u8; 64]));
         assert!(inspect(&bytes).is_ok());
         bytes[HEADER_LEN + 10] ^= 0x40;
         assert!(matches!(
@@ -837,9 +975,9 @@ mod tests {
         // Truncation.
         let short = &bytes[..bytes.len() - 3];
         assert!(matches!(inspect(short), Err(SnapshotError::Truncated)));
-        // Wrong magic.
-        let mut wrong = frame(1, 2, 3, 4, vec![]);
-        wrong[0] = b'x';
+        // Wrong magic — a `rocc-snapshot/v1` file included.
+        let mut wrong = frame(1, 2, 3, 4, two_sections(&[]));
+        wrong[15] = b'1';
         assert!(matches!(inspect(&wrong), Err(SnapshotError::BadMagic)));
     }
 

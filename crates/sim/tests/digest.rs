@@ -4,63 +4,17 @@
 //! injecting a single RP rate-word bit flip after event `k` of a faulted
 //! run must be traced back to exactly event `k` and attributed to a host
 //! CC component — across the golden seeds 1/7/42. Also pins the
-//! digest/words coupling (a component digest changes iff that
-//! component's snapshot words change) and tolerant parsing of torn
-//! digest-ledger tails as produced by a crashed run-loop writer.
+//! digest/section coupling (a component digest is the FNV-1a-64 of that
+//! component's snapshot section, so it changes iff the section's words
+//! change) and tolerant parsing of torn digest-ledger tails as produced
+//! by a crashed run-loop writer.
 
+mod common;
+
+use common::build_chaos;
 use proptest::prelude::*;
-use rocc_core::{RoccHostCcFactory, RoccSwitchCcFactory};
 use rocc_sim::prelude::*;
-
-fn dumbbell(n: usize, gbps: u64) -> (Topology, Vec<NodeId>, NodeId) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch("sw", NodeRole::Switch);
-    let dst = b.add_host("dst");
-    b.connect(sw, dst, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-    let mut srcs = Vec::new();
-    for i in 0..n {
-        let h = b.add_host(format!("s{i}"));
-        b.connect(h, sw, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-        srcs.push(h);
-    }
-    (b.build(), srcs, dst)
-}
-
-/// The golden chaos incast: 6-sender incast with data loss, CNP loss and
-/// a mid-run link flap, RoCC end to end — the same scenario the
-/// golden-engine and scheduler-differential suites pin.
-fn build_chaos(seed: u64) -> Sim {
-    let (topo, srcs, dst) = dumbbell(6, 40);
-    let cfg = SimConfig {
-        seed,
-        fault_plan: FaultPlan::default()
-            .with_loss(FaultTarget::Data, 0.004)
-            .with_loss(FaultTarget::Cnp, 0.01)
-            .with_flap(
-                LinkId(3),
-                SimTime::from_micros(400),
-                SimTime::from_micros(900),
-            ),
-        ..SimConfig::default()
-    };
-    let mut sim = Sim::new(
-        topo,
-        cfg,
-        Box::new(RoccHostCcFactory::new()),
-        Box::new(RoccSwitchCcFactory::new()),
-    );
-    for (i, &s) in srcs.iter().enumerate() {
-        sim.add_flow(FlowSpec {
-            id: FlowId(i as u64),
-            src: s,
-            dst,
-            size: 1_000_000,
-            start: SimTime::ZERO,
-            offered: None,
-        });
-    }
-    sim
-}
+use rocc_sim::snapshot;
 
 /// The acceptance bar for the whole observatory: a single bit flipped in
 /// one host's CC state after event `k` is localized to exactly event `k`
@@ -177,15 +131,41 @@ fn run_loop_ledger_tolerates_a_torn_tail() {
     );
 }
 
+/// `state_digest()` is the snapshot's section table, hashed: same names,
+/// same order, and each digest the FNV-1a-64 of that section's payload —
+/// mid-run on a faulted seed, so every section is non-trivial.
+#[test]
+fn state_digest_is_the_hash_of_the_snapshot_sections() {
+    let mut sim = build_chaos(7);
+    while sim.events_processed() < 5_000 && sim.step() {}
+    let bytes = sim.snapshot();
+    let (_, sections) = snapshot::sections(&bytes).expect("own snapshot parses");
+    let hashed: Vec<(String, u64)> = sections
+        .iter()
+        .map(|(name, payload)| (name.to_string(), rocc_stats::digest::fnv1a_64(payload)))
+        .collect();
+    let digests = sim.state_digest();
+    let got: Vec<(String, u64)> = digests.iter().map(|(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(got, hashed);
+    // The canonical order: six kernel sections, one per node (the role
+    // is the name), then run bookkeeping and instrumentation.
+    let names: Vec<&str> = sections.iter().map(|&(n, _)| n).collect();
+    let want = [
+        "kernel", "rng", "sched", "faults", "san", "slab", "switch/0", "host/1", "host/2",
+        "host/3", "host/4", "host/5", "host/6", "host/7", "run", "trace", "sanitizer",
+    ];
+    assert_eq!(names, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The digest/words contract, at an arbitrary cut point of a faulted
+    /// The digest/section contract, at an arbitrary cut point of a faulted
     /// run: perturbing one host's CC state changes that component's
-    /// snapshot words and digest, and *only* that component's — every
-    /// component whose words are untouched keeps its digest bit for bit.
+    /// snapshot section and digest, and *only* that component's — every
+    /// component whose section is untouched keeps its digest bit for bit.
     #[test]
-    fn component_digest_changes_iff_its_words_change(
+    fn component_digest_changes_iff_its_section_changes(
         seed_idx in 0usize..3,
         frac in 0.0f64..1.0,
     ) {
@@ -194,27 +174,30 @@ proptest! {
         let mut sim = build_chaos(seed);
         while sim.events_processed() < k && sim.step() {}
 
-        let before_states = sim.component_states();
+        let before_bytes = sim.snapshot();
         let before = sim.state_digest();
         prop_assert!(sim.inject_rp_perturbation(), "no host CC state to perturb");
-        let after_states = sim.component_states();
+        let after_bytes = sim.snapshot();
         let after = sim.state_digest();
+        let (_, before_secs) = snapshot::sections(&before_bytes).expect("parses");
+        let (_, after_secs) = snapshot::sections(&after_bytes).expect("parses");
 
         // Same component set, same order, on both sides.
         prop_assert_eq!(before.len(), after.len());
+        prop_assert_eq!(before.len(), before_secs.len());
         let mut changed = Vec::new();
-        for (b, a) in before_states.iter().zip(after_states.iter()) {
-            prop_assert_eq!(&b.name, &a.name);
-            let words_differ = b.bytes != a.bytes;
+        for (&(name, b), &(name_after, a)) in before_secs.iter().zip(after_secs.iter()) {
+            prop_assert_eq!(name, name_after);
+            let words_differ = b != a;
             let digests_differ =
-                before.get(&b.name).expect("named") != after.get(&a.name).expect("named");
+                before.get(name).expect("named") != after.get(name).expect("named");
             prop_assert_eq!(
                 words_differ, digests_differ,
                 "component {}: words_differ={} but digests_differ={}",
-                b.name, words_differ, digests_differ
+                name, words_differ, digests_differ
             );
             if words_differ {
-                changed.push(b.name.clone());
+                changed.push(name);
             }
         }
         // The flip touches exactly one host component and nothing else.

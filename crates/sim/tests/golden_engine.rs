@@ -17,24 +17,12 @@
 //!
 //! and paste the printed table over `GOLDEN`.
 
-use rocc_core::{RoccHostCcFactory, RoccSwitchCcFactory};
+mod common;
+
 use rocc_sim::prelude::*;
 
-fn dumbbell(n: usize, gbps: u64) -> (Topology, Vec<NodeId>, NodeId) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch("sw", NodeRole::Switch);
-    let dst = b.add_host("dst");
-    b.connect(sw, dst, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-    let mut srcs = Vec::new();
-    for i in 0..n {
-        let h = b.add_host(format!("s{i}"));
-        b.connect(h, sw, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-        srcs.push(h);
-    }
-    (b.build(), srcs, dst)
-}
-
-/// Everything simulation-visible a run produces.
+/// Everything simulation-visible a run produces, plus the scheduler
+/// watermark (the queue must agree on *accounting*, not just outputs).
 #[derive(Debug, PartialEq)]
 struct RunFingerprint {
     events: u64,
@@ -44,6 +32,7 @@ struct RunFingerprint {
     retx: u64,
     ctrl_emitted: u64,
     injected_drops: u64,
+    peak_pending: usize,
 }
 
 /// Where divergence artifacts land when a golden assertion fails (CI
@@ -58,36 +47,8 @@ fn diverge_dir() -> String {
 /// pins that recording is bit-identical to not recording) so a
 /// fingerprint mismatch can be localized offline.
 fn chaos_incast(seed: u64) -> (RunFingerprint, DigestLedger) {
-    let (topo, srcs, dst) = dumbbell(6, 40);
-    let cfg = SimConfig {
-        seed,
-        fault_plan: FaultPlan::default()
-            .with_loss(FaultTarget::Data, 0.004)
-            .with_loss(FaultTarget::Cnp, 0.01)
-            .with_flap(
-                LinkId(3),
-                SimTime::from_micros(400),
-                SimTime::from_micros(900),
-            ),
-        ..SimConfig::default()
-    };
-    let mut sim = Sim::new(
-        topo,
-        cfg,
-        Box::new(RoccHostCcFactory::new()),
-        Box::new(RoccSwitchCcFactory::new()),
-    );
+    let mut sim = common::build_chaos(seed);
     sim.enable_digest_ledger(4096);
-    for (i, &s) in srcs.iter().enumerate() {
-        sim.add_flow(FlowSpec {
-            id: FlowId(i as u64),
-            src: s,
-            dst,
-            size: 1_000_000,
-            start: SimTime::ZERO,
-            offered: None,
-        });
-    }
     let verdict = sim.run_until_flows_done(SimTime::from_millis(100));
     assert!(verdict.is_complete(), "chaos incast must finish: {verdict:?}");
     // Healthy schemes never schedule into the past; a nonzero clamp count
@@ -111,23 +72,27 @@ fn chaos_incast(seed: u64) -> (RunFingerprint, DigestLedger) {
         retx: sim.trace.retx_bytes,
         ctrl_emitted: sim.trace.ctrl_emitted,
         injected_drops: sim.trace.faults.data_lost + sim.trace.faults.ctrl_lost,
+        peak_pending: sim.kernel.peak_pending(),
     };
     let ledger = sim.take_digest_ledger().expect("ledger enabled above");
     (fp, ledger)
 }
 
 /// Golden fingerprints captured from the pre-refactor (full-`Packet`
-/// heap) engine. Seeds chosen to hit distinct loss/flap interleavings.
-const GOLDEN: &[(u64, u64, &[(u64, u64)], u64, u64, u64, u64, u64)] = &[
-    // (seed, events, fcts, drops, unroutable, retx, ctrl_emitted, injected)
-    (1, 90689, &[(2, 2339013), (5, 2396585), (3, 2478577), (1, 2623852), (4, 6706250), (0, 10119843)], 0, 0, 2922000, 90, 74),
-    (7, 66614, &[(5, 2283643), (4, 2555433), (1, 2559048), (3, 2604450), (2, 2655552), (0, 2881297)], 0, 0, 1687000, 96, 70),
-    (42, 66837, &[(4, 2214717), (5, 2356143), (2, 2367213), (1, 2391653), (3, 2399267), (0, 2498173)], 0, 0, 1733000, 82, 77),
+/// heap) engine; `peak_pending` from the last engine that could still run
+/// on the binary heap (commit 638a8c2). Seeds chosen to hit distinct
+/// loss/flap interleavings.
+#[allow(clippy::type_complexity)]
+const GOLDEN: &[(u64, u64, &[(u64, u64)], u64, u64, u64, u64, u64, usize)] = &[
+    // (seed, events, fcts, drops, unroutable, retx, ctrl_emitted, injected, peak_pending)
+    (1, 90689, &[(2, 2339013), (5, 2396585), (3, 2478577), (1, 2623852), (4, 6706250), (0, 10119843)], 0, 0, 2922000, 90, 74, 11622),
+    (7, 66614, &[(5, 2283643), (4, 2555433), (1, 2559048), (3, 2604450), (2, 2655552), (0, 2881297)], 0, 0, 1687000, 96, 70, 13107),
+    (42, 66837, &[(4, 2214717), (5, 2356143), (2, 2367213), (1, 2391653), (3, 2399267), (0, 2498173)], 0, 0, 1733000, 82, 77, 13248),
 ];
 
 #[test]
 fn slab_queue_is_bit_identical_to_seed_engine() {
-    for &(seed, events, fcts, drops, unroutable, retx, ctrl, injected) in GOLDEN {
+    for &(seed, events, fcts, drops, unroutable, retx, ctrl, injected, peak_pending) in GOLDEN {
         let (got, ledger) = chaos_incast(seed);
         let want = RunFingerprint {
             events,
@@ -137,6 +102,7 @@ fn slab_queue_is_bit_identical_to_seed_engine() {
             retx,
             ctrl_emitted: ctrl,
             injected_drops: injected,
+            peak_pending,
         };
         if got != want {
             // Pinned constants can't be bisected live (the reference
@@ -164,8 +130,9 @@ fn capture_golden_fingerprints() {
     for seed in [1u64, 7, 42] {
         let (f, _) = chaos_incast(seed);
         println!(
-            "    ({seed}, {}, &{:?}, {}, {}, {}, {}, {}),",
-            f.events, f.fcts, f.drops, f.unroutable, f.retx, f.ctrl_emitted, f.injected_drops
+            "    ({seed}, {}, &{:?}, {}, {}, {}, {}, {}, {}),",
+            f.events, f.fcts, f.drops, f.unroutable, f.retx, f.ctrl_emitted, f.injected_drops,
+            f.peak_pending
         );
     }
 }

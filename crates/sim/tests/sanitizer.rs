@@ -233,11 +233,15 @@ fn failure_verdicts_render_their_kind_and_fields() {
 
     let violation = RunVerdict::Failed(SimError::InvariantViolation {
         at: SimTime::from_micros(9),
-        violations: vec!["byte conservation broken: \"quoted\"".into()],
+        violations: vec!["byte conservation broken: \"quoted\"".into(), "a\nb".into()],
     });
     let json = violation.to_json();
     assert!(json.contains("\"verdict\":\"invariant_violation\""), "{json}");
     assert!(json.contains("\\\"quoted\\\""), "quotes must be escaped: {json}");
+    // A raw newline inside a JSON string is invalid JSON (and would split
+    // the `ROCC_VERDICT_DIR` dump across lines).
+    assert!(json.contains("\"a\\nb\""), "newline must be escaped: {json}");
+    assert!(!json.contains('\n'), "{json}");
 }
 
 #[test]

@@ -1,141 +1,72 @@
-//! Scheduler-backend differential suite: the binary heap is kept as an
-//! oracle for the hierarchical timing wheel (see DESIGN.md §3j). Both
-//! backends implement the same `(at, seq)` total order, so a full
-//! chaos-grade simulation — loss, CNP loss, a link flap, RoCC end to
-//! end — must produce bit-identical outputs under either one.
-//!
-//! The backend is forced per-`Sim` with [`Sim::set_scheduler_backend`]
-//! rather than via the `ROCC_SCHEDULER` env override: tests run on
-//! parallel threads and the env var is process-global.
+//! Scheduler reference suite: `BinaryHeap<Reverse<Scheduled>>` over
+//! `Scheduled`'s `Ord` is the reference model for the engine's timing
+//! wheel (see DESIGN.md §3j). A full chaos-grade simulation — loss, CNP
+//! loss, a link flap, RoCC end to end — is stepped on the real engine, its
+//! push/pop stream recorded, and the same pushes replayed through the
+//! heap: the heap must pop exactly the `(at, seq)` sequence the engine
+//! dispatched.
 
+mod common;
+
+use common::{build_chaos, dumbbell};
 use rocc_core::{RoccHostCcFactory, RoccSwitchCcFactory};
 use rocc_sim::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
-fn dumbbell(n: usize, gbps: u64) -> (Topology, Vec<NodeId>, NodeId) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch("sw", NodeRole::Switch);
-    let dst = b.add_host("dst");
-    b.connect(sw, dst, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-    let mut srcs = Vec::new();
-    for i in 0..n {
-        let h = b.add_host(format!("s{i}"));
-        b.connect(h, sw, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-        srcs.push(h);
-    }
-    (b.build(), srcs, dst)
+/// `(at ns, seq)` of the next event to dispatch, parsed from
+/// `Sim::next_event_brief` (`"[at N ns, seq S] Kind { .. }"`).
+fn next_event(sim: &Sim) -> Option<(u64, u64)> {
+    let brief = sim.next_event_brief()?;
+    let (at, rest) = brief.strip_prefix("[at ")?.split_once(" ns, seq ")?;
+    let (seq, _kind) = rest.split_once("] ")?;
+    Some((at.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Everything simulation-visible a run produces, plus the scheduler
-/// watermark (the queues must agree on *accounting*, not just outputs).
-#[derive(Debug, PartialEq)]
-struct RunFingerprint {
-    events: u64,
-    fcts: Vec<(u64, u64)>,
-    drops: u64,
-    retx: u64,
-    ctrl_emitted: u64,
-    injected_drops: u64,
-    peak_pending: usize,
-    clamps: u64,
-}
-
-/// The chaos incast from the golden-engine suite, built (not run) on an
-/// explicit scheduler backend. Separate from the runner so a divergence
-/// can be bisected on freshly built sims.
-fn build_chaos(seed: u64, backend: Backend) -> Sim {
-    let (topo, srcs, dst) = dumbbell(6, 40);
-    let cfg = SimConfig {
-        seed,
-        fault_plan: FaultPlan::default()
-            .with_loss(FaultTarget::Data, 0.004)
-            .with_loss(FaultTarget::Cnp, 0.01)
-            .with_flap(
-                LinkId(3),
-                SimTime::from_micros(400),
-                SimTime::from_micros(900),
-            ),
-        ..SimConfig::default()
-    };
-    let mut sim = Sim::new(
-        topo,
-        cfg,
-        Box::new(RoccHostCcFactory::new()),
-        Box::new(RoccSwitchCcFactory::new()),
-    );
-    sim.set_scheduler_backend(backend);
-    for (i, &s) in srcs.iter().enumerate() {
-        sim.add_flow(FlowSpec {
-            id: FlowId(i as u64),
-            src: s,
-            dst,
-            size: 1_000_000,
-            start: SimTime::ZERO,
-            offered: None,
-        });
-    }
-    sim
-}
-
-/// Run the chaos incast on an explicit backend and fingerprint it.
-fn chaos_incast(seed: u64, backend: Backend) -> RunFingerprint {
-    let mut sim = build_chaos(seed, backend);
-    let verdict = sim.run_until_flows_done(SimTime::from_millis(100));
-    assert!(verdict.is_complete(), "chaos incast must finish: {verdict:?}");
-    assert_eq!(sim.kernel.scheduler_backend(), backend);
-    RunFingerprint {
-        events: sim.events_processed(),
-        fcts: sim
-            .trace
-            .fcts
-            .iter()
-            .map(|r| (r.flow.0, r.end.as_nanos()))
-            .collect(),
-        drops: sim.trace.drops,
-        retx: sim.trace.retx_bytes,
-        ctrl_emitted: sim.trace.ctrl_emitted,
-        injected_drops: sim.trace.faults.data_lost + sim.trace.faults.ctrl_lost,
-        peak_pending: sim.kernel.peak_pending(),
-        clamps: sim.kernel.past_due_clamps(),
-    }
+fn scheduled(at: u64, seq: u64) -> Reverse<Scheduled> {
+    Reverse(Scheduled { at: SimTime::from_nanos(at), seq, ev: Event::Sample })
 }
 
 #[test]
-fn wheel_is_bit_identical_to_the_heap_oracle() {
+fn engine_pop_order_matches_the_heap_reference() {
     for seed in [1u64, 7, 42] {
-        let heap = chaos_incast(seed, Backend::Heap);
-        let wheel = chaos_incast(seed, Backend::Wheel);
-        if heap != wheel {
-            // Unlike the pinned golden constants, both sides of this
-            // differential are reproducible here — bisect fresh sims to
-            // the exact first divergent event and write the full
-            // `rocc-divergence-report/v1` before failing (CI uploads it).
-            let dir = std::env::var("ROCC_DIVERGE_DIR")
-                .unwrap_or_else(|_| "target/diverge".to_string());
-            let path = format!("{dir}/scheduler_seed{seed}_divergence.json");
-            let mut a = build_chaos(seed, Backend::Heap);
-            let mut b = build_chaos(seed, Backend::Wheel);
-            let opts = BisectOptions {
-                scan_stride: 2048,
-                max_events: 400_000,
-                perturb_b_at: None,
-            };
-            match bisect_divergence(&mut a, &mut b, &opts) {
-                BisectOutcome::Diverged(rep) => {
-                    let wrote = write_artifact(&path, &rep.to_json())
-                        .map(|()| path)
-                        .unwrap_or_else(|e| format!("<failed to write report: {e}>"));
-                    panic!(
-                        "scheduler backends diverged on chaos seed {seed} \
-                         (heap=a, wheel=b): {}\nreport written to {wrote}",
-                        rep.summary()
-                    );
-                }
-                BisectOutcome::Identical { events } => panic!(
-                    "scheduler fingerprints differ on chaos seed {seed} but per-event \
-                     states matched through {events} events:\nheap:  {heap:?}\nwheel: {wheel:?}"
-                ),
-            }
+        // Record: per dispatched event, what popped and which sequence
+        // numbers the dispatch pushed (the kernel numbers pushes 1, 2, …).
+        let mut sim = build_chaos(seed);
+        let initial = sim.profiled_pushes();
+        let mut steps = Vec::new();
+        while sim.trace.fcts.len() < 6 {
+            let (at, seq) = next_event(&sim).expect("queue drained before the flows finished");
+            let before = sim.profiled_pushes();
+            assert!(sim.step());
+            steps.push((at, seq, before, sim.profiled_pushes()));
         }
+        assert!(steps.len() > 60_000, "seed {seed}: run too short: {}", steps.len());
+        // An event's due time is only seen when it pops; pushes that never
+        // pop in the window are left out (they sort after every recorded
+        // pop, so the recorded order is unaffected).
+        let due: HashMap<u64, u64> = steps.iter().map(|&(at, seq, _, _)| (seq, at)).collect();
+
+        // Replay the same pushes through the reference model.
+        let mut heap = BinaryHeap::new();
+        let push = |heap: &mut BinaryHeap<_>, seqs: std::ops::RangeInclusive<u64>| {
+            for seq in seqs {
+                if let Some(&at) = due.get(&seq) {
+                    heap.push(scheduled(at, seq));
+                }
+            }
+        };
+        push(&mut heap, 1..=initial);
+        for (i, &(at, seq, before, after)) in steps.iter().enumerate() {
+            let Reverse(got) = heap.pop().expect("reference ran dry");
+            assert_eq!(
+                (got.at.as_nanos(), got.seq),
+                (at, seq),
+                "seed {seed}: engine dispatch {i} is not the reference minimum"
+            );
+            push(&mut heap, before + 1..=after);
+        }
+        assert!(heap.is_empty(), "seed {seed}: reference holds events the engine never popped");
     }
 }
 
@@ -144,8 +75,6 @@ fn wheel_actually_cascades_on_a_real_workload() {
     // Guard against a degenerate wheel that keeps everything in level 0:
     // a real run schedules timers far enough out (CP ticks, CC timers,
     // retransmit deadlines) that upper levels must see traffic.
-    let f = chaos_incast(1, Backend::Wheel);
-    assert!(f.events > 0);
     let (topo, srcs, dst) = dumbbell(6, 40);
     let mut sim = Sim::new(
         topo,
@@ -153,7 +82,6 @@ fn wheel_actually_cascades_on_a_real_workload() {
         Box::new(RoccHostCcFactory::new()),
         Box::new(RoccSwitchCcFactory::new()),
     );
-    sim.set_scheduler_backend(Backend::Wheel);
     for (i, &s) in srcs.iter().enumerate() {
         sim.add_flow(FlowSpec {
             id: FlowId(i as u64),
@@ -175,20 +103,4 @@ fn wheel_actually_cascades_on_a_real_workload() {
         stats.max_level >= 1,
         "no event ever reached an overflow level"
     );
-}
-
-#[test]
-fn heap_oracle_reports_no_wheel_stats() {
-    let (topo, _, _) = dumbbell(2, 40);
-    let mut sim = Sim::new(
-        topo,
-        SimConfig::default(),
-        Box::new(RoccHostCcFactory::new()),
-        Box::new(RoccSwitchCcFactory::new()),
-    );
-    sim.set_scheduler_backend(Backend::Heap);
-    let stats = sim.kernel.scheduler_stats();
-    assert_eq!(stats.cascades, 0);
-    assert_eq!(stats.rebases, 0);
-    assert_eq!(stats.max_level, 0);
 }

@@ -9,60 +9,12 @@
 //! incast with data loss, CNP loss and a link flap that pins the golden
 //! engine fingerprints, across the golden seeds 1/7/42.
 
+mod common;
+
+use common::build_chaos;
 use proptest::prelude::*;
-use rocc_core::{RoccHostCcFactory, RoccSwitchCcFactory};
 use rocc_sim::prelude::*;
 use rocc_sim::snapshot;
-
-fn dumbbell(n: usize, gbps: u64) -> (Topology, Vec<NodeId>, NodeId) {
-    let mut b = TopologyBuilder::new();
-    let sw = b.add_switch("sw", NodeRole::Switch);
-    let dst = b.add_host("dst");
-    b.connect(sw, dst, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-    let mut srcs = Vec::new();
-    for i in 0..n {
-        let h = b.add_host(format!("s{i}"));
-        b.connect(h, sw, BitRate::from_gbps(gbps), SimDuration::from_micros(1));
-        srcs.push(h);
-    }
-    (b.build(), srcs, dst)
-}
-
-/// The golden chaos incast, built but not run. The restore protocol
-/// requires the caller to rebuild the sim identically before restoring,
-/// so both the snapshot side and the restore side call this.
-fn build_chaos(seed: u64) -> Sim {
-    let (topo, srcs, dst) = dumbbell(6, 40);
-    let cfg = SimConfig {
-        seed,
-        fault_plan: FaultPlan::default()
-            .with_loss(FaultTarget::Data, 0.004)
-            .with_loss(FaultTarget::Cnp, 0.01)
-            .with_flap(
-                LinkId(3),
-                SimTime::from_micros(400),
-                SimTime::from_micros(900),
-            ),
-        ..SimConfig::default()
-    };
-    let mut sim = Sim::new(
-        topo,
-        cfg,
-        Box::new(RoccHostCcFactory::new()),
-        Box::new(RoccSwitchCcFactory::new()),
-    );
-    for (i, &s) in srcs.iter().enumerate() {
-        sim.add_flow(FlowSpec {
-            id: FlowId(i as u64),
-            src: s,
-            dst,
-            size: 1_000_000,
-            start: SimTime::ZERO,
-            offered: None,
-        });
-    }
-    sim
-}
 
 /// Everything simulation-visible a finished run produced.
 #[derive(Debug, PartialEq)]
@@ -248,4 +200,76 @@ fn restore_rejects_corrupt_container() {
             "byte flip at {pos} restored silently"
         );
     }
+}
+
+/// Assemble a `rocc-snapshot/v2` container by hand from a header and a
+/// section list — the layout DESIGN.md §3i documents, written without the
+/// crate's own framer so the two are checked against each other.
+fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) -> Vec<u8> {
+    let mut body: Vec<u8> = sections.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+    let table_at = body.len() as u64;
+    for (name, payload) in sections {
+        body.extend_from_slice(&(name.len() as u64).to_le_bytes());
+        body.extend_from_slice(name.as_bytes());
+        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    }
+    body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+    body.extend_from_slice(&table_at.to_le_bytes());
+    let mut out = snapshot::SNAPSHOT_MAGIC.to_vec();
+    let header = [info.seed, info.config_digest, info.now_ns, info.events_processed];
+    for word in header.into_iter().chain([body.len() as u64]) {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&body);
+    let trailer = rocc_stats::digest::fnv1a_64(&out);
+    out.extend_from_slice(&trailer.to_le_bytes());
+    out
+}
+
+/// Well-framed containers whose section table does not match the sim —
+/// a `rocc-snapshot/v1` file, reordered / missing / extra sections, a
+/// section cut short or padded — are each refused with a typed error,
+/// never restored and never a panic.
+#[test]
+fn restore_rejects_v1_files_and_mismatched_section_tables() {
+    let mut donor = build_chaos(7);
+    while donor.events_processed() < 1000 && donor.step() {}
+    let bytes = donor.snapshot();
+    let (info, sections) = snapshot::sections(&bytes).expect("own snapshot parses");
+    assert_eq!(reframe(&info, &sections), bytes, "hand framer disagrees with the crate's");
+    let restore = |bytes: &[u8]| build_chaos(7).restore(bytes);
+    let malformed = |r| matches!(r, Err(snapshot::SnapshotError::Malformed(_)));
+
+    let mut v1 = bytes.clone();
+    v1[15] = b'1';
+    assert_eq!(restore(&v1), Err(snapshot::SnapshotError::BadMagic));
+
+    let at = |name: &str| sections.iter().position(|&(n, _)| n == name).expect(name);
+    let mut reordered = sections.clone();
+    reordered.swap(at("rng"), at("sched"));
+    assert!(malformed(restore(&reframe(&info, &reordered))), "reordered sections");
+    let mut role_swapped = sections.clone();
+    role_swapped[at("host/1")].0 = "switch/1";
+    assert!(malformed(restore(&reframe(&info, &role_swapped))), "node role");
+    let mut missing = sections.clone();
+    missing.remove(at("host/7"));
+    assert!(malformed(restore(&reframe(&info, &missing))), "missing node section");
+    let mut extra = sections.clone();
+    extra.push(("extra", &[]));
+    assert!(malformed(restore(&reframe(&info, &extra))), "unknown trailing section");
+
+    let slab = sections[at("slab")].1;
+    let mut truncated = sections.clone();
+    truncated[at("slab")].1 = &slab[..slab.len() - 8];
+    assert_eq!(
+        restore(&reframe(&info, &truncated)),
+        Err(snapshot::SnapshotError::Truncated)
+    );
+    let padded = [slab, &[0u8; 8]].concat();
+    let mut overlong = sections.clone();
+    overlong[at("slab")].1 = &padded;
+    assert_eq!(
+        restore(&reframe(&info, &overlong)),
+        Err(snapshot::SnapshotError::Malformed("trailing bytes"))
+    );
 }

@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod digest;
+pub mod json;
 
 use std::fmt;
 
