@@ -876,7 +876,7 @@ fn main() {
                     };
                     match rocc_sim::snapshot::sections(&bytes) {
                         Ok((info, sections)) => {
-                            println!("{file}: rocc-snapshot/v2");
+                            println!("{file}: rocc-snapshot/v3");
                             println!("  seed:             {}", info.seed);
                             println!("  config digest:    {:016x}", info.config_digest);
                             println!("  sim time:         {} ns", info.now_ns);

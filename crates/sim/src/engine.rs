@@ -14,7 +14,7 @@ use crate::cc::{FeedbackEvent, HostCcFactory, SwitchCcFactory};
 use crate::config::SimConfig;
 use crate::fastmap::FxHashMap;
 use crate::fault::{FaultDecision, FaultEvent, FaultState, FaultTarget};
-use crate::host::Host;
+use crate::host::{Host, RTO_TOKEN};
 use crate::packet::{FlowId, PacketKind};
 use crate::profiler::{Phase, PhaseProfiler, ProfileContext};
 use crate::sanitizer::{
@@ -900,6 +900,7 @@ impl Sim {
             switches,
             ledger: &kernel.san,
             packets: &kernel.packets,
+            sched: &kernel.sched,
         };
         sanitizer.audit(&view, trace)
     }
@@ -924,6 +925,7 @@ impl Sim {
             switches,
             ledger: &self.kernel.san,
             packets: &self.kernel.packets,
+            sched: &self.kernel.sched,
         };
         scan_pause_graph(&view)
     }
@@ -952,7 +954,7 @@ impl Sim {
     // ------------------------------------------------------ snapshotting
 
     /// Serialize the complete dynamic state of the run as a
-    /// `rocc-snapshot/v2` document: scheduler queue contents, packet slab,
+    /// `rocc-snapshot/v3` document: scheduler queue contents, packet slab,
     /// RNG streams, switch and host state, fault cursors, budget odometers,
     /// and all collected instrumentation. Restoring the bytes into a
     /// freshly rebuilt, identically configured `Sim` (see [`Sim::restore`])
@@ -1412,27 +1414,38 @@ impl Sim {
                 gen,
             } => {
                 if self.kernel.faults.host_is_down(node) {
-                    // A host with no restore scheduled is never coming back:
-                    // re-queueing would churn the heap every 100 µs until the
-                    // deadline for an event nobody will ever handle.
-                    if !self.kernel.faults.host_will_recover(node, self.kernel.now) {
-                        self.trace.faults.abandoned_events += 1;
-                        return;
+                    // The flow's one RTO event is never replayed: a replay
+                    // could land after the deadline `revive` sets (legal
+                    // `rto` < HOST_DOWN_RETRY). Drop it and tell the flow;
+                    // `revive` re-arms every flow that still needs one.
+                    let is_rto = token == RTO_TOKEN;
+                    if is_rto {
+                        if let NodeSlot::Host(h) = &mut self.nodes[node.0] {
+                            h.rto_event_dropped(flow);
+                        }
                     }
-                    // Timers freeze while the host is down; re-deliver later
-                    // with the same generation so CC timer chains (e.g. the
-                    // RoCC recovery timer) survive a pause. A crash bumps
-                    // every generation, so replayed timers die there.
-                    let at = self.kernel.now + Self::HOST_DOWN_RETRY;
-                    self.kernel.schedule(
-                        at,
-                        Event::HostCcTimer {
-                            node,
-                            flow,
-                            token,
-                            gen,
-                        },
-                    );
+                    if !self.kernel.faults.host_will_recover(node, self.kernel.now) {
+                        // A host with no restore scheduled is never coming
+                        // back: re-queueing would churn the heap every 100 µs
+                        // until the deadline for an event nobody will handle.
+                        self.trace.faults.abandoned_events += 1;
+                    } else if !is_rto {
+                        // CC timers freeze while the host is down; re-deliver
+                        // later with the same generation so CC timer chains
+                        // (e.g. the RoCC recovery timer) survive a pause. A
+                        // crash bumps every generation, so replayed timers
+                        // die there.
+                        let at = self.kernel.now + Self::HOST_DOWN_RETRY;
+                        self.kernel.schedule(
+                            at,
+                            Event::HostCcTimer {
+                                node,
+                                flow,
+                                token,
+                                gen,
+                            },
+                        );
+                    }
                     return;
                 }
                 if let NodeSlot::Host(h) = &mut self.nodes[node.0] {

@@ -42,9 +42,17 @@ struct SenderFlow {
     offered: Option<BitRate>,
     /// Time and wire size of the last transmitted packet (pacing baseline).
     last_tx: Option<(SimTime, u64)>,
-    /// Per-token timer generations; events carrying stale generations are
-    /// ignored, which implements reset/cancel.
+    /// Per-token timer generations for the CC's tokens; events carrying
+    /// stale generations are ignored, which implements reset/cancel. Slot
+    /// [`RTO_TOKEN`] is unused: the RTO is `rto_deadline` + `rto_queued`.
     timer_gen: [u64; TIMER_SLOTS],
+    /// When the go-back-N timeout fires (`None` = cancelled). Every arm
+    /// sets it to `now + rto`, so it only ever moves forward.
+    rto_deadline: Option<SimTime>,
+    /// One `HostCcTimer { token: RTO_TOKEN }` for this flow is in the event
+    /// queue, due no later than `rto_deadline`; it re-schedules itself at
+    /// the deadline when it pops early, so arming never pushes a second.
+    rto_queued: bool,
     /// Flow explicitly stopped (long-running flows in dynamic scenarios).
     stopped: bool,
     /// Where the flow sits in the TX scheduler.
@@ -119,6 +127,10 @@ pub struct SenderAudit {
     pub rate: BitRate,
     /// Declared `(min, max)` rate bounds, if the CC promises any.
     pub bounds: Option<(BitRate, BitRate)>,
+    /// When the retransmission timeout fires (`None` = cancelled).
+    pub rto_deadline: Option<SimTime>,
+    /// The flow believes its one RTO event is in the event queue.
+    pub rto_queued: bool,
 }
 
 /// An end host (single NIC port).
@@ -210,6 +222,8 @@ impl Host {
                 size: f.size,
                 rate: f.cc.decision().rate,
                 bounds: f.cc.rate_bounds(),
+                rto_deadline: f.rto_deadline,
+                rto_queued: f.rto_queued,
             })
             .collect()
     }
@@ -247,6 +261,8 @@ impl Host {
                 offered: meta.offered,
                 last_tx: None,
                 timer_gen: [0; TIMER_SLOTS],
+                rto_deadline: None,
+                rto_queued: false,
                 stopped: false,
                 sched: SchedState::Idle,
                 wait_until: SimTime::ZERO,
@@ -322,28 +338,43 @@ impl Host {
         }
     }
 
+    /// (Re)start the retransmission timeout: move the deadline, and queue
+    /// the flow's one RTO event only if none is in the queue already.
     fn arm_rto(&mut self, k: &mut Kernel, flow: FlowId) {
-        let rto = k.config.rto;
+        let at = k.now + k.config.rto;
         let Some(f) = self.flows.get_mut(&flow) else {
             return;
         };
-        let t = RTO_TOKEN as usize;
-        f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
+        f.rto_deadline = Some(at);
+        if !f.rto_queued {
+            f.rto_queued = true;
+            self.schedule_rto(k, flow, at);
+        }
+    }
+
+    fn schedule_rto(&self, k: &mut Kernel, flow: FlowId, at: SimTime) {
         k.schedule(
-            k.now + rto,
+            at,
             Event::HostCcTimer {
                 node: self.id,
                 flow,
                 token: RTO_TOKEN,
-                gen: f.timer_gen[t],
+                gen: 0,
             },
         );
     }
 
     fn cancel_rto(&mut self, flow: FlowId) {
         if let Some(f) = self.flows.get_mut(&flow) {
-            let t = RTO_TOKEN as usize;
-            f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
+            f.rto_deadline = None;
+        }
+    }
+
+    /// The engine discarded `flow`'s queued RTO event (it popped while this
+    /// host was down; [`Host::revive`] re-arms whatever still needs one).
+    pub(crate) fn rto_event_dropped(&mut self, flow: FlowId) {
+        if let Some(f) = self.flows.get_mut(&flow) {
+            f.rto_queued = false;
         }
     }
 
@@ -578,9 +609,11 @@ impl Host {
                     w.u64(b);
                 }
             }
-            for g in f.timer_gen {
-                w.u64(g);
+            for g in &f.timer_gen[..RTO_TOKEN as usize] {
+                w.u64(*g);
             }
+            w.opt_u64(f.rto_deadline.map(SimTime::as_nanos));
+            w.bool(f.rto_queued);
             w.bool(f.stopped);
             w.u8(match f.sched {
                 SchedState::Idle => 0,
@@ -690,9 +723,11 @@ impl Host {
                 _ => return Err(SnapshotError::Malformed("last-tx tag")),
             };
             let mut timer_gen = [0u64; TIMER_SLOTS];
-            for g in &mut timer_gen {
+            for g in &mut timer_gen[..RTO_TOKEN as usize] {
                 *g = r.u64()?;
             }
+            let rto_deadline = r.opt_u64()?.map(SimTime::from_nanos);
+            let rto_queued = r.bool()?;
             let stopped = r.bool()?;
             let sched = match r.u8()? {
                 0 => SchedState::Idle,
@@ -717,6 +752,8 @@ impl Host {
                     offered,
                     last_tx,
                     timer_gen,
+                    rto_deadline,
+                    rto_queued,
                     stopped,
                     sched,
                     wait_until,
@@ -909,11 +946,13 @@ impl Host {
             f.last_tx = None;
             f.sched = SchedState::Idle;
             f.wait_until = SimTime::ZERO;
-            // Invalidate every pending timer (they are replayed by the
-            // engine while the host is down and must die on arrival).
+            // Invalidate every pending CC timer (they are replayed by the
+            // engine while the host is down and must die on arrival) and
+            // cancel the RTO.
             for g in f.timer_gen.iter_mut() {
                 *g = g.wrapping_add(1);
             }
+            f.rto_deadline = None;
         }
         lost
     }
@@ -996,25 +1035,33 @@ impl Host {
         gen: u64,
     ) {
         k.prof.enter(Phase::HostCompute);
-        {
-            let Some(f) = self.flows.get_mut(&flow) else {
-                return;
-            };
-            let t = token as usize % TIMER_SLOTS;
-            if f.timer_gen[t] != gen {
-                return; // stale (reset or cancelled)
-            }
-            if token == RTO_TOKEN {
-                // Go-back-N timeout: roll back to the cumulative ack.
-                if f.acked < f.next_seq {
-                    f.next_seq = f.acked;
-                    let _ = f;
-                    self.arm_rto(k, flow);
-                    self.activate(flow);
-                    self.try_send(k, topo, trace);
+        let Some(f) = self.flows.get_mut(&flow) else {
+            return;
+        };
+        if token == RTO_TOKEN {
+            f.rto_queued = false;
+            match f.rto_deadline {
+                None => {} // cancelled
+                Some(d) if d > k.now => {
+                    // Re-armed since this event was queued: chase the deadline.
+                    f.rto_queued = true;
+                    self.schedule_rto(k, flow, d);
                 }
-                return;
+                Some(_) => {
+                    f.rto_deadline = None;
+                    // Go-back-N timeout: roll back to the cumulative ack.
+                    if f.acked < f.next_seq {
+                        f.next_seq = f.acked;
+                        self.arm_rto(k, flow);
+                        self.activate(flow);
+                        self.try_send(k, topo, trace);
+                    }
+                }
             }
+            return;
+        }
+        if f.timer_gen[token as usize % TIMER_SLOTS] != gen {
+            return; // stale (reset or cancelled)
         }
         let mut ctx = self.cc_ctx(k, trace.cc_mask());
         let Some(f) = self.flows.get_mut(&flow) else {

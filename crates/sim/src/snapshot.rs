@@ -1,4 +1,4 @@
-//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v2` format.
+//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v3` format.
 //!
 //! A snapshot captures the complete *dynamic* state of a [`crate::engine::Sim`]
 //! — scheduler heap, packet slab, switch queues and PFC state, host
@@ -18,7 +18,7 @@
 //! seed-zeroed FNV-1a config digest in the header, plus structural checks
 //! (node counts, watch-list lengths) during decode.
 //!
-//! Wire format: a 16-byte magic (`rocc-snapshot/v2`), a fixed header
+//! Wire format: a 16-byte magic (`rocc-snapshot/v3`), a fixed header
 //! (seed, config digest, sim time, event count, body length), a body, and
 //! a trailing FNV-1a-64 digest over everything before it. The body is the
 //! section payloads back to back, each a run of little-endian primitives
@@ -47,7 +47,7 @@ use rocc_stats::digest::fnv1a_64;
 use std::fmt;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v2";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v3";
 
 /// Byte length of the fixed header (magic + seed + config digest + now +
 /// events + body length).
@@ -58,7 +58,7 @@ pub const HEADER_LEN: usize = 16 + 8 * 5;
 /// a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The leading magic is not `rocc-snapshot/v2` (wrong file, wrong
+    /// The leading magic is not `rocc-snapshot/v3` (wrong file, wrong
     /// version, or garbage).
     BadMagic,
     /// The byte stream ended before the declared structure did.
@@ -88,7 +88,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v2 file"),
+            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v3 file"),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::DigestMismatch { computed, stored } => write!(
                 f,
@@ -975,10 +975,12 @@ mod tests {
         // Truncation.
         let short = &bytes[..bytes.len() - 3];
         assert!(matches!(inspect(short), Err(SnapshotError::Truncated)));
-        // Wrong magic — a `rocc-snapshot/v1` file included.
-        let mut wrong = frame(1, 2, 3, 4, two_sections(&[]));
-        wrong[15] = b'1';
-        assert!(matches!(inspect(&wrong), Err(SnapshotError::BadMagic)));
+        // Wrong magic — `rocc-snapshot/v1` and `/v2` files included.
+        for old_version in [b'1', b'2'] {
+            let mut wrong = frame(1, 2, 3, 4, two_sections(&[]));
+            wrong[15] = old_version;
+            assert!(matches!(inspect(&wrong), Err(SnapshotError::BadMagic)));
+        }
     }
 
     #[test]

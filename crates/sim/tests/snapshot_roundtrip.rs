@@ -202,7 +202,7 @@ fn restore_rejects_corrupt_container() {
     }
 }
 
-/// Assemble a `rocc-snapshot/v2` container by hand from a header and a
+/// Assemble a `rocc-snapshot/v3` container by hand from a header and a
 /// section list — the layout DESIGN.md §3i documents, written without the
 /// crate's own framer so the two are checked against each other.
 fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) -> Vec<u8> {
@@ -227,7 +227,7 @@ fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) ->
 }
 
 /// Well-framed containers whose section table does not match the sim —
-/// a `rocc-snapshot/v1` file, reordered / missing / extra sections, a
+/// a `rocc-snapshot/v1` or `/v2` file, reordered / missing / extra sections, a
 /// section cut short or padded — are each refused with a typed error,
 /// never restored and never a panic.
 #[test]
@@ -240,9 +240,11 @@ fn restore_rejects_v1_files_and_mismatched_section_tables() {
     let restore = |bytes: &[u8]| build_chaos(7).restore(bytes);
     let malformed = |r| matches!(r, Err(snapshot::SnapshotError::Malformed(_)));
 
-    let mut v1 = bytes.clone();
-    v1[15] = b'1';
-    assert_eq!(restore(&v1), Err(snapshot::SnapshotError::BadMagic));
+    for old_version in [b'1', b'2'] {
+        let mut old = bytes.clone();
+        old[15] = old_version;
+        assert_eq!(restore(&old), Err(snapshot::SnapshotError::BadMagic));
+    }
 
     let at = |name: &str| sections.iter().position(|&(n, _)| n == name).expect(name);
     let mut reordered = sections.clone();
