@@ -78,16 +78,21 @@ fn chaos_incast(seed: u64) -> (RunFingerprint, DigestLedger) {
     (fp, ledger)
 }
 
-/// Golden fingerprints captured from the pre-refactor (full-`Packet`
-/// heap) engine; `peak_pending` from the last engine that could still run
-/// on the binary heap (commit 638a8c2). Seeds chosen to hit distinct
-/// loss/flap interleavings.
+/// Golden fingerprints. Every simulation-visible field (`fcts`, `drops`,
+/// `unroutable`, `retx`, `ctrl_emitted`, `injected`) is still the value
+/// captured from the pre-refactor (full-`Packet` heap) engine. The two
+/// counts, `events` and `peak_pending`, were re-captured when the
+/// transport went from one RTO event per send/ACK to one lazily re-armed
+/// RTO event per flow: the dead timers no longer exist to be popped
+/// (seed 1 runs past the 4 ms RTO and loses 13,415 events; seeds 7 and 42
+/// finish before any dead timer came due, so only their `peak_pending`
+/// moves). Seeds chosen to hit distinct loss/flap interleavings.
 #[allow(clippy::type_complexity)]
 const GOLDEN: &[(u64, u64, &[(u64, u64)], u64, u64, u64, u64, u64, usize)] = &[
     // (seed, events, fcts, drops, unroutable, retx, ctrl_emitted, injected, peak_pending)
-    (1, 90689, &[(2, 2339013), (5, 2396585), (3, 2478577), (1, 2623852), (4, 6706250), (0, 10119843)], 0, 0, 2922000, 90, 74, 11622),
-    (7, 66614, &[(5, 2283643), (4, 2555433), (1, 2559048), (3, 2604450), (2, 2655552), (0, 2881297)], 0, 0, 1687000, 96, 70, 13107),
-    (42, 66837, &[(4, 2214717), (5, 2356143), (2, 2367213), (1, 2391653), (3, 2399267), (0, 2498173)], 0, 0, 1733000, 82, 77, 13248),
+    (1, 77274, &[(2, 2339013), (5, 2396585), (3, 2478577), (1, 2623852), (4, 6706250), (0, 10119843)], 0, 0, 2922000, 90, 74, 79),
+    (7, 66614, &[(5, 2283643), (4, 2555433), (1, 2559048), (3, 2604450), (2, 2655552), (0, 2881297)], 0, 0, 1687000, 96, 70, 75),
+    (42, 66837, &[(4, 2214717), (5, 2356143), (2, 2367213), (1, 2391653), (3, 2399267), (0, 2498173)], 0, 0, 1733000, 82, 77, 79),
 ];
 
 #[test]
