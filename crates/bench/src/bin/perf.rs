@@ -6,6 +6,17 @@
 //! `rocc-perf-profile/v1` artifact, and gated by the multi-metric ratchet
 //! in [`rocc_bench::ratchet`].
 //!
+//! The engine leg is a fixed, seeded input (12 senders × 4 MB = 48,000
+//! data packets), so `engine_events` repeats exactly and `perf check`
+//! gates it with zero tolerance: one event more than the baseline fails.
+//! events/sec is only comparable between commits that process the same
+//! events. The baseline was re-captured when the transport stopped pushing
+//! a dead RTO timer per data packet and per ACK (502,590 → 445,049 events
+//! for the same packets): the events that remain each do more work on
+//! average, so events/sec across that commit says nothing — compare
+//! `engine_wall_seconds` for the fixed input (equivalently 48,000 packets
+//! ÷ wall) instead.
+//!
 //! Usage:
 //!
 //! ```text
@@ -19,6 +30,7 @@
 //!                                 hardcoded constant.
 //! perf check <fresh> <base>     — exit nonzero if <fresh> regressed
 //!                                 past any ratchet tolerance vs <base>
+//!                                 (engine_events: any increase)
 //! perf ratchet <fresh> <base> [<out>]
 //!                               — fold <fresh> into the ratchet,
 //!                                 writing the advanced baseline to

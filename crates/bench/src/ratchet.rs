@@ -53,7 +53,19 @@ pub struct Metric {
 /// so the same absolute per-event profiler cost (a few ns of counter
 /// bumps and sampled clock reads) is ~2x the percentage — the ceiling is
 /// recalibrated to 5% to keep gating the same absolute budget.
+///
+/// `engine_events` is a count, not a timing: the engine leg is a fixed,
+/// seeded incast, so its event count repeats exactly and gets zero
+/// tolerance. An event the design does not need (the per-packet dead RTO
+/// timers were 18 % of this count for a dozen PRs) fails the gate
+/// deterministically instead of hiding inside the events/s band; a change
+/// that needs more events re-baselines `BENCH_sim.json` and says why.
 pub const METRICS: &[Metric] = &[
+    Metric {
+        key: "engine_events",
+        direction: Direction::Lower,
+        tolerance: Tolerance::Relative(0.0),
+    },
     Metric {
         key: "events_per_sec",
         direction: Direction::Higher,
@@ -236,7 +248,7 @@ mod tests {
 
     fn v2_doc(eps: f64, serial: f64, parallel: f64, overhead: f64) -> String {
         format!(
-            "{{\"schema\":\"rocc-bench/v2\",\"engine\":{{\"events_per_sec\":{eps}}},\
+            "{{\"schema\":\"rocc-bench/v2\",\"engine\":{{\"engine_events\":1000,\"events_per_sec\":{eps}}},\
              \"profiler\":{{\"profiler_overhead_pct\":{overhead}}},\
              \"sweep\":{{\"serial_wall_seconds\":{serial},\"parallel_wall_seconds\":{parallel}}}}}"
         )
@@ -267,6 +279,19 @@ mod tests {
     }
 
     #[test]
+    fn one_extra_engine_event_fails_and_fewer_pass() {
+        let base = v2_doc(5.0e6, 0.14, 0.10, 1.2);
+        let more = base.replace("\"engine_events\":1000", "\"engine_events\":1001");
+        assert!(check(&more, &base).iter().any(|v| v.failed()));
+        let fewer = base.replace("\"engine_events\":1000", "\"engine_events\":999");
+        assert!(check(&fewer, &base).iter().all(|v| !v.failed()));
+        assert_eq!(
+            json_number(&advance(&fewer, &base).0, "engine_events"),
+            Some(999.0)
+        );
+    }
+
+    #[test]
     fn noise_within_tolerance_passes() {
         let base = v2_doc(5.0e6, 0.14, 0.10, 1.2);
         let noisy = v2_doc(4.2e6, 0.17, 0.12, 2.9);
@@ -285,7 +310,7 @@ mod tests {
         assert_eq!(json_number(&next, "parallel_wall_seconds"), Some(0.10));
         // Overhead is ceiling-gated, not ratcheted: fresh value carries.
         assert_eq!(json_number(&next, "profiler_overhead_pct"), Some(2.0));
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.len(), 4);
         // The advanced ratchet still passes a check against itself and
         // against the run that produced it.
         assert!(check(&next, &next).iter().all(|v| !v.failed()));

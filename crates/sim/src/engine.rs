@@ -147,7 +147,7 @@ pub struct Kernel {
     /// branch per hook while disabled (the default); node handlers mark
     /// their phases through the `&mut Kernel` they already receive.
     pub prof: PhaseProfiler,
-    sched: TimingWheel,
+    pub(crate) sched: TimingWheel,
     seq: u64,
     peak_heap: usize,
     /// How many [`Kernel::schedule`] calls requested a timestamp below
@@ -161,7 +161,7 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    fn new(config: SimConfig, n_links: usize, n_nodes: usize) -> Self {
+    pub(crate) fn new(config: SimConfig, n_links: usize, n_nodes: usize) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let faults = FaultState::new(config.fault_plan.clone(), config.seed, n_links, n_nodes);
         Kernel {
@@ -208,7 +208,7 @@ impl Kernel {
         self.prof.push_end(prof_prev);
     }
 
-    fn pop(&mut self) -> Option<Scheduled> {
+    pub(crate) fn pop(&mut self) -> Option<Scheduled> {
         let s = self.sched.pop();
         if self.san.on() {
             if let Some(s) = &s {
@@ -1414,10 +1414,9 @@ impl Sim {
                 gen,
             } => {
                 if self.kernel.faults.host_is_down(node) {
-                    // The flow's one RTO event is never replayed: a replay
-                    // could land after the deadline `revive` sets (legal
-                    // `rto` < HOST_DOWN_RETRY). Drop it and tell the flow;
-                    // `revive` re-arms every flow that still needs one.
+                    // The flow's one RTO event is dropped, never replayed (a
+                    // replay could land after the deadline `revive` sets when
+                    // `rto` < HOST_DOWN_RETRY); `revive` re-arms the flow.
                     let is_rto = token == RTO_TOKEN;
                     if is_rto {
                         if let NodeSlot::Host(h) = &mut self.nodes[node.0] {
@@ -1432,9 +1431,8 @@ impl Sim {
                     } else if !is_rto {
                         // CC timers freeze while the host is down; re-deliver
                         // later with the same generation so CC timer chains
-                        // (e.g. the RoCC recovery timer) survive a pause. A
-                        // crash bumps every generation, so replayed timers
-                        // die there.
+                        // (e.g. the RoCC recovery timer) survive a pause. A crash
+                        // bumps every generation, so replayed timers die there.
                         let at = self.kernel.now + Self::HOST_DOWN_RETRY;
                         self.kernel.schedule(
                             at,
@@ -2334,6 +2332,111 @@ mod tests {
         });
         sim.run_until_flows_done(SimTime::from_millis(100)).assert_complete();
         assert_eq!(sim.trace.faults.abandoned_events, 0);
+    }
+
+    /// One flow of `size` bytes from h0 to h1, starting at t = 0, on the
+    /// null CC; returns the sim and h0.
+    fn one_flow_sim(cfg: SimConfig, size: u64) -> (Sim, NodeId) {
+        let topo = two_hosts_one_switch();
+        let h0 = topo.hosts()[0];
+        let h1 = topo.hosts()[1];
+        let mut sim = Sim::new(
+            topo,
+            cfg,
+            Box::new(NullHostCcFactory),
+            Box::new(NullSwitchCcFactory),
+        );
+        sim.add_flow(FlowSpec {
+            id: FlowId(1),
+            src: h0,
+            dst: h1,
+            size,
+            start: SimTime::ZERO,
+            offered: None,
+        });
+        (sim, h0)
+    }
+
+    #[test]
+    fn rto_after_a_pause_fires_exactly_one_rto_after_revive() {
+        // The host-down path drops a popped RTO event instead of replaying
+        // it 100 µs later: with rto = 20 µs a replay (20 → 120 → 220 →
+        // 320 µs) would fire the timeout 50 µs after the 270 µs deadline
+        // that `revive` sets at 250 µs.
+        let h0 = two_hosts_one_switch().hosts()[0];
+        // All ten packets are on the wire by 2.1 µs; every ACK reaches the
+        // paused sender and is lost, so only the timeout can finish the flow.
+        let cfg = SimConfig {
+            rto: SimDuration::from_micros(20),
+            fault_plan: crate::fault::FaultPlan::default().with_host_pause(
+                h0,
+                SimTime::from_micros(3),
+                SimTime::from_micros(250),
+            ),
+            ..SimConfig::default()
+        };
+        let (mut sim, _) = one_flow_sim(cfg, 10_000);
+        sim.run_until(SimTime::from_nanos(269_999));
+        assert_eq!(sim.trace.retx_bytes, 0, "timed out before revive + rto");
+        sim.run_until(SimTime::from_micros(270));
+        assert_eq!(
+            sim.trace.retx_bytes, 1000,
+            "no timeout at exactly revive + rto"
+        );
+        sim.run_until_flows_done(SimTime::from_millis(10))
+            .assert_complete();
+        assert_eq!(sim.trace.faults.abandoned_events, 0);
+    }
+
+    #[test]
+    fn rto_event_of_a_permanently_crashed_host_is_abandoned() {
+        let h0 = two_hosts_one_switch().hosts()[0];
+        let cfg = SimConfig {
+            fault_plan: crate::fault::FaultPlan::default()
+                .with_host_crash_forever(h0, SimTime::from_micros(5)),
+            ..SimConfig::default()
+        };
+        let (mut sim, _) = one_flow_sim(cfg, 100_000);
+        let v = sim.run_until_flows_done(SimTime::from_millis(100));
+        assert!(
+            matches!(
+                v.err(),
+                Some(SimError::Drained {
+                    incomplete_flows: 1,
+                    ..
+                })
+            ),
+            "{v:?}"
+        );
+        // The flow's one queued RTO event pops on the dead host and is
+        // counted, not replayed (and not silently dropped).
+        assert_eq!(sim.trace.faults.abandoned_events, 1);
+    }
+
+    #[test]
+    fn audit_catches_a_flow_that_lost_its_rto_event() {
+        let (mut sim, h0) = one_flow_sim(SimConfig::default(), 100_000);
+        sim.enable_sanitizer();
+        sim.run_until(SimTime::from_micros(3));
+        assert!(
+            sim.run_audit().is_none(),
+            "clean mid-flow state must audit clean"
+        );
+        // Forget the queued event: the next arm would push a second one,
+        // and a flow that forgot while none was queued could never time out.
+        let NodeSlot::Host(h) = &mut sim.nodes[h0.0] else {
+            panic!("h0 is a host");
+        };
+        h.rto_event_dropped(FlowId(1));
+        match sim.run_audit() {
+            Some(SimError::InvariantViolation { violations, .. }) => {
+                assert!(
+                    violations.iter().any(|v| v.contains("RTO")),
+                    "{violations:?}"
+                )
+            }
+            other => panic!("lost RTO flag not reported: {other:?}"),
+        }
     }
 
     #[test]

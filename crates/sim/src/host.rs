@@ -42,16 +42,15 @@ struct SenderFlow {
     offered: Option<BitRate>,
     /// Time and wire size of the last transmitted packet (pacing baseline).
     last_tx: Option<(SimTime, u64)>,
-    /// Per-token timer generations for the CC's tokens; events carrying
-    /// stale generations are ignored, which implements reset/cancel. Slot
-    /// [`RTO_TOKEN`] is unused: the RTO is `rto_deadline` + `rto_queued`.
+    /// Per-token timer generations for the CC's tokens (slot [`RTO_TOKEN`]
+    /// is unused); events carrying stale generations are ignored, which
+    /// implements reset/cancel.
     timer_gen: [u64; TIMER_SLOTS],
     /// When the go-back-N timeout fires (`None` = cancelled). Every arm
     /// sets it to `now + rto`, so it only ever moves forward.
     rto_deadline: Option<SimTime>,
-    /// One `HostCcTimer { token: RTO_TOKEN }` for this flow is in the event
-    /// queue, due no later than `rto_deadline`; it re-schedules itself at
-    /// the deadline when it pops early, so arming never pushes a second.
+    /// One RTO event for this flow is in the event queue, due no later than
+    /// `rto_deadline`: it chases the deadline, so arming pushes no second.
     rto_queued: bool,
     /// Flow explicitly stopped (long-running flows in dynamic scenarios).
     stopped: bool,
@@ -338,35 +337,30 @@ impl Host {
         }
     }
 
-    /// (Re)start the retransmission timeout: move the deadline, and queue
-    /// the flow's one RTO event only if none is in the queue already.
+    /// (Re)start the retransmission timeout, one `rto` from now.
     fn arm_rto(&mut self, k: &mut Kernel, flow: FlowId) {
         let at = k.now + k.config.rto;
+        self.set_rto(k, flow, at);
+    }
+
+    /// Move the deadline to `at`, and queue the flow's one RTO event only
+    /// if none is in the queue already.
+    fn set_rto(&mut self, k: &mut Kernel, flow: FlowId, at: SimTime) {
         let Some(f) = self.flows.get_mut(&flow) else {
             return;
         };
         f.rto_deadline = Some(at);
         if !f.rto_queued {
             f.rto_queued = true;
-            self.schedule_rto(k, flow, at);
-        }
-    }
-
-    fn schedule_rto(&self, k: &mut Kernel, flow: FlowId, at: SimTime) {
-        k.schedule(
-            at,
-            Event::HostCcTimer {
-                node: self.id,
-                flow,
-                token: RTO_TOKEN,
-                gen: 0,
-            },
-        );
-    }
-
-    fn cancel_rto(&mut self, flow: FlowId) {
-        if let Some(f) = self.flows.get_mut(&flow) {
-            f.rto_deadline = None;
+            k.schedule(
+                at,
+                Event::HostCcTimer {
+                    node: self.id,
+                    flow,
+                    token: RTO_TOKEN,
+                    gen: 0,
+                },
+            );
         }
     }
 
@@ -1040,23 +1034,17 @@ impl Host {
         };
         if token == RTO_TOKEN {
             f.rto_queued = false;
-            match f.rto_deadline {
-                None => {} // cancelled
-                Some(d) if d > k.now => {
-                    // Re-armed since this event was queued: chase the deadline.
-                    f.rto_queued = true;
-                    self.schedule_rto(k, flow, d);
+            match f.rto_deadline.take() {
+                // Re-armed since this event was queued: chase the deadline.
+                Some(d) if d > k.now => self.set_rto(k, flow, d),
+                // Go-back-N timeout: roll back to the cumulative ack.
+                Some(_) if f.acked < f.next_seq => {
+                    f.next_seq = f.acked;
+                    self.arm_rto(k, flow);
+                    self.activate(flow);
+                    self.try_send(k, topo, trace);
                 }
-                Some(_) => {
-                    f.rto_deadline = None;
-                    // Go-back-N timeout: roll back to the cumulative ack.
-                    if f.acked < f.next_seq {
-                        f.next_seq = f.acked;
-                        self.arm_rto(k, flow);
-                        self.activate(flow);
-                        self.try_send(k, topo, trace);
-                    }
-                }
+                _ => {} // cancelled, or nothing left to retransmit
             }
             return;
         }
@@ -1207,8 +1195,8 @@ impl Host {
             } else if newly > 0 {
                 if outstanding {
                     self.arm_rto(k, flow);
-                } else {
-                    self.cancel_rto(flow);
+                } else if let Some(f) = self.flows.get_mut(&flow) {
+                    f.rto_deadline = None; // window cleared: cancel the RTO
                 }
             }
         }
@@ -1218,5 +1206,283 @@ impl Host {
             self.activate_on_rate_change(flow);
         }
         self.try_send(k, topo, trace);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cc::{HostCcFactory, NullHostCcFactory};
+    use crate::config::SimConfig;
+    use crate::topology::{NodeRole, TopologyBuilder};
+    use proptest::prelude::*;
+
+    const RTO_NS: u64 = 20_000;
+    const FLOWS: u64 = 3;
+    const PKT: u64 = 1000;
+    /// First op code that revives a down host (and is a no-op on an up one).
+    const REVIVE: u8 = 12;
+
+    /// What the transport promises about its timeout, and nothing about how:
+    /// it fires at the most recent arm + rto unless cancelled since.
+    #[derive(Clone, Copy, Default)]
+    struct ModelFlow {
+        acked: u64,
+        next_seq: u64,
+        deadline: Option<u64>,
+    }
+
+    /// One host with its own kernel; the network is a black hole (every
+    /// transmitted frame is discarded), so only the ops below move a flow.
+    struct Rig {
+        topo: Topology,
+        k: Kernel,
+        trace: Trace,
+        h: Host,
+        down: bool,
+        model: [ModelFlow; FLOWS as usize],
+        fired: Vec<(u64, u64)>,
+        expected: Vec<(u64, u64)>,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let mut b = TopologyBuilder::new();
+            let h0 = b.add_host("h0");
+            let h1 = b.add_host("h1");
+            let sw = b.add_switch("sw", NodeRole::Switch);
+            b.connect(h0, sw, BitRate::from_gbps(40), SimDuration::from_micros(1));
+            b.connect(h1, sw, BitRate::from_gbps(40), SimDuration::from_micros(1));
+            let topo = b.build();
+            let cfg = SimConfig {
+                rto: SimDuration::from_nanos(RTO_NS),
+                ..SimConfig::default()
+            };
+            let mut k = Kernel::new(cfg, topo.links().len(), topo.nodes().len());
+            let mut trace = Trace::new();
+            let mut h = Host::new(h0, &topo);
+            // Offered rate zero: the TX scheduler never sends on its own, so
+            // every data packet is an explicit `Send` op.
+            let meta = FlowMeta {
+                src: h0,
+                dst: h1,
+                size: u64::MAX,
+                start: SimTime::ZERO,
+                offered: Some(BitRate::ZERO),
+            };
+            for f in 0..FLOWS {
+                let cc = NullHostCcFactory.make(FlowId(f), h.line_rate());
+                h.start_flow(&mut k, &topo, &mut trace, FlowId(f), &meta, cc);
+            }
+            Rig {
+                topo,
+                k,
+                trace,
+                h,
+                down: false,
+                model: Default::default(),
+                fired: Vec::new(),
+                expected: Vec::new(),
+            }
+        }
+
+        /// Dispatch every queued event due by `t` the way the engine would,
+        /// then let the model catch up over the same window.
+        fn advance_to(&mut self, t: u64) {
+            while self.k.sched.peek().is_some_and(|s| s.at.as_nanos() <= t) {
+                let s = self.k.pop().expect("peeked");
+                self.k.now = s.at;
+                match s.ev {
+                    Event::Arrive { pr, .. } => drop(self.k.packets.take(pr)),
+                    Event::HostTxDone { .. } if !self.down && self.h.in_flight.is_some() => self
+                        .h
+                        .handle_tx_done(&mut self.k, &self.topo, &mut self.trace),
+                    Event::HostWake { .. } if !self.down => {
+                        self.h.handle_wake(&mut self.k, &self.topo, &mut self.trace)
+                    }
+                    Event::HostCcTimer {
+                        flow, token, gen, ..
+                    } => {
+                        assert_eq!(token, RTO_TOKEN, "the null CC sets no timers");
+                        if self.down {
+                            self.h.rto_event_dropped(flow);
+                            continue;
+                        }
+                        let outstanding = |h: &Host| h.flows[&flow].in_flight() > 0;
+                        let before = outstanding(&self.h);
+                        self.h.handle_cc_timer(
+                            &mut self.k,
+                            &self.topo,
+                            &mut self.trace,
+                            flow,
+                            token,
+                            gen,
+                        );
+                        if before && !outstanding(&self.h) {
+                            self.fired.push((flow.0, s.at.as_nanos()));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            self.k.now = SimTime::from_nanos(t);
+            if self.down {
+                return; // timers freeze while the host is down
+            }
+            for (i, m) in self.model.iter_mut().enumerate() {
+                while let Some(d) = m.deadline.filter(|&d| d <= t) {
+                    m.deadline = None;
+                    if m.acked < m.next_seq {
+                        self.expected.push((i as u64, d));
+                        m.next_seq = m.acked;
+                        m.deadline = Some(d + RTO_NS);
+                    }
+                }
+            }
+        }
+
+        fn deliver(&mut self, flow: FlowId, kind: PacketKind) {
+            let pkt = Packet {
+                flow,
+                src: self.h.id,
+                dst: self.h.id,
+                kind,
+                ecn: false,
+                int: IntStack::new(),
+                sent_at: self.k.now,
+            };
+            let dir = FxHashMap::default();
+            self.h
+                .handle_arrive(&mut self.k, &self.topo, &mut self.trace, &dir, pkt);
+        }
+
+        fn apply(&mut self, op: u8, flow: u64) {
+            let now = self.k.now.as_nanos();
+            let fid = FlowId(flow);
+            let m = &mut self.model[flow as usize];
+            if self.down {
+                if op >= REVIVE {
+                    self.down = false;
+                    self.h.revive(&mut self.k, &self.topo, &mut self.trace);
+                    for m in &mut self.model {
+                        m.deadline = Some(now + RTO_NS); // every flow still has data
+                    }
+                }
+                return;
+            }
+            match op {
+                0..=4 if !self.h.busy => {
+                    self.h.send_data(&mut self.k, &mut self.trace, fid, PKT);
+                    m.next_seq += PKT;
+                    m.deadline = Some(now + RTO_NS);
+                }
+                5..=6 if m.next_seq - m.acked >= 2 * PKT => {
+                    m.acked += PKT; // partial ACK: restart the timeout
+                    m.deadline = Some(now + RTO_NS);
+                    let cum_seq = m.acked;
+                    self.deliver(fid, ack(cum_seq, now));
+                }
+                7..=8 if m.acked < m.next_seq => {
+                    m.acked = m.next_seq; // window cleared: cancel
+                    m.deadline = None;
+                    let cum_seq = m.acked;
+                    self.deliver(fid, ack(cum_seq, now));
+                }
+                9 => {
+                    m.next_seq = m.acked; // NACK rollback leaves the timer alone
+                    let expected_seq = m.acked;
+                    self.deliver(fid, PacketKind::Nack { expected_seq });
+                }
+                10 => {
+                    self.down = true;
+                    self.h.on_crash();
+                    for m in &mut self.model {
+                        *m = ModelFlow {
+                            acked: m.acked,
+                            next_seq: m.acked,
+                            deadline: None,
+                        };
+                    }
+                }
+                11 => self.down = true, // pause: state frozen, events dropped
+                _ => {}
+            }
+        }
+
+        /// The invariant the audit pass checks, plus agreement with the model.
+        fn check(&self) {
+            let entries = self.k.sched.entries();
+            for (i, m) in self.model.iter().enumerate() {
+                let fid = FlowId(i as u64);
+                let f = &self.h.flows[&fid];
+                assert_eq!((f.acked, f.next_seq), (m.acked, m.next_seq));
+                assert_eq!(f.rto_deadline.map(SimTime::as_nanos), m.deadline);
+                let queued: Vec<SimTime> = entries
+                    .iter()
+                    .filter(
+                        |(_, _, ev)| matches!(ev, Event::HostCcTimer { flow, .. } if *flow == fid),
+                    )
+                    .map(|&(at, _, _)| at)
+                    .collect();
+                assert!(
+                    queued.len() <= 1,
+                    "flow {} has {} RTO events queued",
+                    i,
+                    queued.len()
+                );
+                assert_eq!(queued.len() == 1, f.rto_queued);
+                if let (Some(&at), Some(d)) = (queued.first(), f.rto_deadline) {
+                    assert!(
+                        at <= d,
+                        "queued RTO event at {} is later than deadline {}",
+                        at,
+                        d
+                    );
+                }
+                assert!(
+                    self.down || f.rto_deadline.is_none() || f.rto_queued,
+                    "flow {} has a deadline but no event to fire it",
+                    i
+                );
+            }
+        }
+    }
+
+    fn ack(cum_seq: u64, now: u64) -> PacketKind {
+        PacketKind::Ack {
+            cum_seq,
+            ecn_echo: false,
+            data_tx_time: SimTime::from_nanos(now),
+            int: IntStack::new(),
+        }
+    }
+
+    // Random interleavings of send / ACK / NACK / crash / pause / revive:
+    // the one lazily re-armed event must time a flow out at exactly the
+    // instants the reference model does, with never more than one RTO event
+    // per flow in the queue.
+    proptest! {
+        #[test]
+        fn one_rto_event_per_flow_fires_at_last_arm_plus_rto(
+            ops in proptest::collection::vec((0u8..14, 0u64..FLOWS, 0u64..48_000), 1..120)
+        ) {
+            let mut rig = Rig::new();
+            let mut t = 0;
+            for (op, flow, dt) in ops {
+                // Mostly sub-RTO gaps (deadlines chased), sometimes more
+                // than two RTOs (timeouts fire back to back).
+                t += if dt % 4 == 0 { dt } else { dt / 8 };
+                rig.advance_to(t);
+                rig.apply(op, flow);
+                rig.check();
+            }
+            rig.apply(REVIVE, 0); // whatever is still armed must still fire
+            rig.advance_to(t + 2 * RTO_NS);
+            rig.check();
+            rig.fired.sort_unstable();
+            rig.expected.sort_unstable();
+            prop_assert!(!rig.fired.is_empty() || rig.expected.is_empty());
+            prop_assert_eq!(rig.fired, rig.expected);
+        }
     }
 }

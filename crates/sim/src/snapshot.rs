@@ -29,7 +29,10 @@
 //! body. (The table trails the payloads so the buffer the sections were
 //! written into becomes the snapshot in place, without a copy.)
 //! Corruption of any byte is caught by the trailer before any state is
-//! applied. The per-subsystem state digests of
+//! applied. There is no reader for older versions (snapshots are ephemeral
+//! checkpoints): v3 differs from v2 in the `host/N` section, where each
+//! sender flow carries its RTO deadline and "one RTO event is queued"
+//! flag, and timer generations only for the CC's tokens. The per-subsystem state digests of
 //! [`crate::digest`] are the FNV-1a-64 of these same section payloads, so
 //! equal snapshots have equal digests by construction.
 

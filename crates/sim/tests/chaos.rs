@@ -296,6 +296,52 @@ fn rocc_recovers_line_rate_after_total_cnp_blackout() {
     );
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Liveness rests on one RTO event per flow. Under data loss, CNP loss
+    /// and a sender pause (shorter and longer than the 4 ms RTO, so the
+    /// flow's queued event is both chased and dropped while the host is
+    /// down) every flow still completes, with the sanitizer's RTO audit —
+    /// flag ⇔ exactly one queued event, never later than the deadline —
+    /// clean throughout.
+    #[test]
+    fn loss_and_pause_never_strand_a_flow(
+        seed in 0u64..u64::MAX / 2,
+        pause_at_us in 20u64..600,
+        pause_len_us in 10u64..9000,
+    ) {
+        let (topo, srcs, dst) = dumbbell(4, 10);
+        let cfg = SimConfig {
+            seed,
+            fault_plan: FaultPlan::default()
+                .with_loss(FaultTarget::Data, 0.01)
+                .with_loss(FaultTarget::Cnp, 0.05)
+                .with_host_pause(
+                    srcs[0],
+                    SimTime::from_micros(pause_at_us),
+                    SimTime::from_micros(pause_at_us + pause_len_us),
+                ),
+            ..SimConfig::default()
+        };
+        let mut sim = rocc_sim_with(topo, cfg);
+        sim.enable_sanitizer_with_period(SimDuration::from_micros(50));
+        for (i, &s) in srcs.iter().enumerate() {
+            sim.add_flow(FlowSpec {
+                id: FlowId(i as u64),
+                src: s,
+                dst,
+                size: 200_000,
+                start: SimTime::from_micros(i as u64 * 5),
+                offered: None,
+            });
+        }
+        let verdict = sim.run_until_flows_done(SimTime::from_millis(200));
+        prop_assert!(verdict.is_complete(), "seed {}: {:?}", seed, verdict);
+        prop_assert_eq!(sim.trace.fcts.len(), 4);
+    }
+}
+
 /// Host crash/restart under RoCC: the crashed sender loses all soft state,
 /// go-back-N restarts from the last cumulative ACK, and both flows still
 /// complete (the victim just finishes later).

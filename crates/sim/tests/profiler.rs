@@ -167,3 +167,51 @@ fn profiler_accumulators_follow_the_profile_window() {
     assert_eq!(sim.kernel.prof.pops(), total - 200);
     assert!(sim.kernel.prof.timed_events() > 0);
 }
+
+/// Regression guard for the transport's timer: one lazily re-armed RTO
+/// event per flow, not one pushed per data packet and per ACK. A lossless
+/// incast never times out, so the queue holds a handful of events per flow
+/// however many packets are in flight, and timer dispatches are a rounding
+/// error of the event mix. Exact counts — the dead timers hid under
+/// wall-clock noise, never under these.
+#[test]
+fn rto_timers_do_not_scale_with_packets_sent() {
+    let (topo, srcs, dst) = dumbbell(4, 40);
+    let mut sim = Sim::new(
+        topo,
+        SimConfig::default(),
+        Box::new(RoccHostCcFactory::new()),
+        Box::new(RoccSwitchCcFactory::new()),
+    );
+    for (i, &s) in srcs.iter().enumerate() {
+        sim.add_flow(FlowSpec {
+            id: FlowId(i as u64),
+            src: s,
+            dst,
+            size: 16_000_000,
+            start: SimTime::ZERO,
+            offered: None,
+        });
+    }
+    sim.enable_profiler();
+    sim.run_until_flows_done(SimTime::from_millis(100))
+        .assert_complete();
+    assert!(
+        sim.kernel.peak_pending() < 256,
+        "event queue peaked at {} entries for 4 flows",
+        sim.kernel.peak_pending()
+    );
+    let mix = sim.kernel.prof.dispatch_mix();
+    let timers = mix
+        .iter()
+        .find(|(kind, _)| *kind == "host_cc_timer")
+        .expect("kind listed")
+        .1;
+    let share = timers as f64 / sim.events_processed() as f64;
+    assert!(
+        share < 0.02,
+        "host_cc_timer is {:.1} % of {} events",
+        share * 100.0,
+        sim.events_processed()
+    );
+}

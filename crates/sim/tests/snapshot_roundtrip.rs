@@ -108,6 +108,35 @@ fn restore_at_boundaries_is_bit_identical() {
     }
 }
 
+/// A cut where some flow's RTO deadline has moved past its queued event
+/// (it has sent again since the event was queued): the `host/N` section
+/// must carry both, or the resumed flow times out early, late or never.
+/// Seed 1 runs past the 4 ms RTO, so the restored event has to chase.
+#[test]
+fn restore_with_an_rto_deadline_ahead_of_its_queued_event_is_bit_identical() {
+    let seed = 1;
+    let mut probe = build_chaos(seed);
+    // Every flow first sends at t = 0, which queues its event at `rto`.
+    let first_event = SimTime::ZERO + probe.kernel.config.rto;
+    let deadline_moved = |sim: &Sim| {
+        sim.flows().iter().any(|f| {
+            let senders = sim.host(f.src).audit_senders();
+            senders
+                .iter()
+                .any(|s| s.rto_queued && s.rto_deadline > Some(first_event))
+        })
+    };
+    while !deadline_moved(&probe) {
+        assert!(probe.step(), "no flow ever sent twice");
+    }
+    assert!(
+        probe.kernel.now < first_event,
+        "the first event is still the queued one"
+    );
+    let (got, _) = roundtrip(seed, probe.events_processed());
+    assert_eq!(got, reference(seed).0);
+}
+
 /// A snapshot taken under one config must refuse to restore into a sim
 /// built with another (different seed ⇒ different config digest input),
 /// and the error must identify the mismatch.
