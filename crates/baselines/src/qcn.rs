@@ -290,7 +290,7 @@ mod tests {
         // Mildly above equilibrium and not growing → small feedback.
         cc.q_old = p.q_eq + 2 * p.fb_unit_bytes;
         let fb = cc.feedback(p.q_eq + 2 * p.fb_unit_bytes).unwrap();
-        assert!(fb >= 1 && fb < 10, "fb = {fb}");
+        assert!((1..10).contains(&fb), "fb = {fb}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! # rocc-bench — benchmark harness
+//! # rocc-bench — the `perf` engine benchmark and its ratchet
 //!
-//! All content lives in `benches/`: one Criterion target per group of
-//! paper artifacts (`analysis` → Figs. 5–7, `micro` → Figs. 8/9/13,
-//! `compare` → Figs. 11/12/19, `fct` → Figs. 14–18/20 + Table 3,
-//! `ablation` → the DESIGN.md §5 design-choice studies). Each bench prints
-//! the reproduced headline numbers once, then measures the run cost.
+//! What is left of the first benchmark system: `src/bin/perf.rs` (the
+//! fixed seeded incast behind `BENCH_sim.json`, `perf bench|check|ratchet`)
+//! and [`ratchet`], the multi-metric gate CI's `bench` job applies to it.
+//! `perfsuite/` measures everything this does and more; both go, with the
+//! CI leg, when a benchmark PR moves the exact-event-count gate and the
+//! profiler-overhead ceiling into `suite compare` (ROADMAP item 1).
 
 #![warn(missing_docs)]
 

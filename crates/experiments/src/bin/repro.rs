@@ -812,7 +812,7 @@ fn main() {
                         eprintln!("unknown snapshot scenario: {scenario}");
                         std::process::exit(2);
                     };
-                    while sim.events_processed() < events && sim.step() {}
+                    sim.run_until_event(events);
                     let bytes = sim.snapshot();
                     if let Some(parent) = std::path::Path::new(file).parent() {
                         std::fs::create_dir_all(parent).ok();

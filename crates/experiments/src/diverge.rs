@@ -187,12 +187,9 @@ pub fn record_ledger(
         .ok_or_else(|| format!("unknown diverge scenario: {scenario}"))?;
     sim.enable_digest_ledger(stride);
     if let Some(at) = spec.flip_at {
-        // Step manually up to the flip point and inject, then hand the
-        // run to the run loop, which owns ledger recording. (Manual
-        // steps don't record, so a flipped ledger starts at the first
-        // stride boundary past the flip; pre-flip rows come from the
-        // clean side of the comparison.)
-        while sim.events_processed() < at && sim.step() {}
+        // Run to the flip point, inject, and run on: the ledger carries
+        // its pre-flip rows too, byte-equal to the clean side's.
+        sim.run_until_event(at);
         sim.inject_rp_perturbation();
     }
     let horizon = match scenario {

@@ -62,7 +62,7 @@ pub use schemes::Scheme;
 /// shape); `Paper` uses the published dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced dimensions for CI and `cargo bench`.
+    /// Reduced dimensions for CI and quick local runs.
     Quick,
     /// The paper's dimensions (30 hosts/edge, 2 trunks, 5 repetitions).
     Paper,

@@ -207,6 +207,8 @@ pub struct HostCcCtx {
 
 impl HostCcCtx {
     /// Arm (or reset) the timer identified by `token` to fire after `d`.
+    /// Tokens are `0..`[`crate::host::TIMER_SLOTS`]; the host panics on
+    /// any other.
     pub fn set_timer(&mut self, token: u8, d: SimDuration) {
         self.set_timers.push((token, d));
     }

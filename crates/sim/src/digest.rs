@@ -503,28 +503,20 @@ impl DivergenceReport {
     }
 }
 
-/// Advance `sim` event-by-event until `target` events have been
-/// dispatched (or the schedule runs dry — returns `false`). When
-/// `perturb_at` is crossed *from below within this call*, the RP
-/// perturbation fires exactly once; a sim restored from a snapshot taken
-/// at or past the perturbation point already carries the flipped state,
-/// so the crossing rule makes replays exact.
+/// Advance `sim` until `target` events have been dispatched (or the
+/// schedule runs dry — returns `false`). When `perturb_at` is crossed
+/// *from below within this call*, the RP perturbation fires exactly
+/// once; a sim restored from a snapshot taken at or past the
+/// perturbation point already carries the flipped state, so the crossing
+/// rule makes replays exact.
 fn advance_to(sim: &mut Sim, target: u64, perturb_at: Option<u64>) -> bool {
-    let entry = sim.events_processed();
-    loop {
-        let e = sim.events_processed();
-        if let Some(p) = perturb_at {
-            if e == p && entry < p {
-                sim.inject_rp_perturbation();
-            }
-        }
-        if e >= target {
-            return true;
-        }
-        if !sim.step() {
+    if let Some(p) = perturb_at.filter(|&p| sim.events_processed() < p && p <= target) {
+        if !sim.run_until_event(p) {
             return false;
         }
+        sim.inject_rp_perturbation();
     }
+    sim.run_until_event(target)
 }
 
 fn states_differ(a: &mut Sim, b: &mut Sim) -> bool {

@@ -18,7 +18,7 @@ use crate::host::{Host, RTO_TOKEN};
 use crate::packet::{FlowId, PacketKind};
 use crate::profiler::{Phase, PhaseProfiler, ProfileContext};
 use crate::sanitizer::{
-    scan_pause_graph, AuditView, PauseReport, RunVerdict, SanLedger, Sanitizer, SimError,
+    scan_pause_graph, AuditView, RunVerdict, SanLedger, Sanitizer, SimError,
     DEFAULT_AUDIT_PERIOD,
 };
 use crate::sched::{Scheduled, TimingWheel};
@@ -158,6 +158,10 @@ pub struct Kernel {
     past_due_clamps: u64,
     /// The requested (pre-clamp) timestamp of the most recent clamp.
     last_clamp_requested: SimTime,
+    /// Event count from which the run loop next calls [`Sim::probe`]
+    /// (see there). Lives here so a clamp can ask for a probe right after
+    /// the dispatch that caused it; 0 means "after the next event".
+    pub(crate) probe_at: u64,
 }
 
 impl Kernel {
@@ -177,6 +181,7 @@ impl Kernel {
             peak_heap: 0,
             past_due_clamps: 0,
             last_clamp_requested: SimTime::ZERO,
+            probe_at: 0,
         }
     }
 
@@ -188,6 +193,7 @@ impl Kernel {
         if at < self.now {
             self.past_due_clamps += 1;
             self.last_clamp_requested = at;
+            self.probe_at = 0;
         }
         let at = at.max(self.now);
         if self.san.on() {
@@ -208,33 +214,20 @@ impl Kernel {
         self.prof.push_end(prof_prev);
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Scheduled> {
-        let s = self.sched.pop();
+    /// Take the next event off the queue if it is due by `limit`.
+    pub(crate) fn pop_until(&mut self, limit: SimTime) -> Option<Scheduled> {
+        let s = self.sched.pop_until(limit);
         if self.san.on() {
-            if let Some(s) = &s {
-                if let Event::Arrive { pr, .. } = &s.ev {
-                    let wire = self.packets.get(*pr).wire_bytes();
-                    self.san.heap_sub(wire);
-                }
+            if let Some(Scheduled {
+                ev: Event::Arrive { pr, .. },
+                ..
+            }) = &s
+            {
+                let wire = self.packets.get(*pr).wire_bytes();
+                self.san.heap_sub(wire);
             }
         }
         s
-    }
-
-    /// Put a popped-but-undispatched event back without consuming a new
-    /// sequence number (its original ordering is preserved: it was the
-    /// queue minimum and becomes the head again).
-    fn requeue(&mut self, s: Scheduled) {
-        if self.san.on() {
-            if let Event::Arrive { pr, .. } = &s.ev {
-                let wire = self.packets.get(*pr).wire_bytes();
-                self.san.heap_add(wire);
-            }
-        }
-        self.sched.requeue(s);
-        if self.sched.len() > self.peak_heap {
-            self.peak_heap = self.sched.len();
-        }
     }
 
     /// Number of pending events (diagnostics).
@@ -253,7 +246,7 @@ impl Kernel {
         self.past_due_clamps
     }
 
-    /// Scheduler introspection counters (cascades/rebases).
+    /// Scheduler introspection counters (cascades, deepest level).
     pub fn scheduler_stats(&self) -> crate::sched::SchedStats {
         self.sched.stats()
     }
@@ -315,11 +308,62 @@ pub type CheckpointSink = Box<dyn FnMut(u64, &[u8])>;
 
 /// Auto-checkpoint policy: every `stride` dispatched events the engine
 /// serializes itself ([`Sim::snapshot`]) and hands the bytes to `sink`.
-/// Stored as an `Option` on [`Sim`] so the disabled cost is one branch per
-/// event, matching the profiler/sanitizer gating pattern.
+/// One of the strides behind the run loop's probe countdown
+/// ([`Sim::probe`]); disabled, it costs the loop nothing.
 struct CheckpointPolicy {
     stride: u64,
     sink: CheckpointSink,
+}
+
+/// Events between wall-clock budget checks.
+const WALL_CHECK_STRIDE: u64 = 4096;
+
+/// Where a [`Sim::run`] call stops short of a drained queue or a tripped
+/// budget: at the first of these to be met.
+struct Stop {
+    /// Simulated-time limit; events due at exactly `time` still run.
+    time: SimTime,
+    /// Total dispatched-event count to stop at.
+    events: u64,
+    /// Stop once every registered finite flow has completed.
+    flows: bool,
+}
+
+/// Why a [`Sim::run`] call returned.
+enum Halt {
+    /// The stop's event count or flow completion was reached.
+    Reached,
+    /// The event queue is empty.
+    Drained,
+    /// The next event is due after the stop's time limit, which the clock
+    /// now reads.
+    Deadline,
+    /// A run budget tripped, or an audit failed on the way to flow completion.
+    Failed(SimError),
+}
+
+/// What the sanitizer audits and the pause-graph scan walks (a free
+/// function, so `Sim`'s other fields can be borrowed mutably beside it).
+fn audit_view<'a>(kernel: &'a Kernel, topo: &'a Topology, nodes: &'a [NodeSlot]) -> AuditView<'a> {
+    let mut hosts = Vec::new();
+    let mut switches = Vec::new();
+    for n in nodes {
+        match n {
+            NodeSlot::Host(h) => hosts.push(h),
+            NodeSlot::Switch(s) => switches.push(s),
+        }
+    }
+    AuditView {
+        now: kernel.now,
+        config: &kernel.config,
+        topo,
+        faults: &kernel.faults,
+        hosts,
+        switches,
+        ledger: &kernel.san,
+        packets: &kernel.packets,
+        sched: &kernel.sched,
+    }
 }
 
 /// A fully wired simulation: topology + nodes + flows + instrumentation.
@@ -340,8 +384,8 @@ pub struct Sim {
     /// Consecutive events dispatched without simulated time advancing
     /// (the livelock detector's odometer; reset whenever the clock moves).
     stall_run: u64,
-    /// Budget failure recorded by an open-ended [`Sim::run_until`] call
-    /// (bounded runs return theirs through the [`RunVerdict`] instead).
+    /// Budget failure recorded by an open-ended run (bounded runs return
+    /// theirs through the [`RunVerdict`] instead).
     budget_failure: Option<SimError>,
     wall: std::time::Duration,
     /// Event count at the last [`Sim::reset_profile`] (0 initially):
@@ -353,18 +397,18 @@ pub struct Sim {
     /// [`Sim::profiled_pushes`] reports the window since the reset.
     profile_base_seq: u64,
     /// Whether the first-run sampling tick has been scheduled; guards
-    /// against double-scheduling when stepping manually at t = 0.
+    /// against double-scheduling across run calls at t = 0.
     sampling_bootstrapped: bool,
     sanitizer: Sanitizer,
     checkpoint: Option<CheckpointPolicy>,
     /// Strided per-component digest recorder (the divergence
     /// observatory's `rocc-digest-ledger/v1`; see [`crate::digest`]).
-    /// Same `Option` gating as checkpointing: disabled cost is one branch
-    /// per dispatched event, enabled recording is pure observation.
+    /// Same gating as checkpointing: a stride behind the probe countdown,
+    /// and enabled recording is pure observation.
     digest_ledger: Option<crate::digest::DigestLedger>,
-    /// Kernel clamp count already surfaced to telemetry; the run loops
-    /// compare it against [`Kernel::past_due_clamps`] after each dispatch
-    /// (one predictable branch) and publish the delta.
+    /// Kernel clamp count already surfaced to telemetry; [`Sim::probe`]
+    /// compares it against [`Kernel::past_due_clamps`] and publishes the
+    /// delta (a clamp asks for the probe).
     clamps_published: u64,
 }
 
@@ -443,6 +487,7 @@ impl Sim {
         self.kernel.san.enable();
         let now = self.kernel.now;
         self.sanitizer.enable(now, period);
+        self.kernel.probe_at = 0;
     }
 
     /// The sanitizer/watchdog state (pause fractions, victims, report).
@@ -468,9 +513,8 @@ impl Sim {
 
     /// Self-profiling summary: events processed, events/sec, peak
     /// event-queue length, wall-clock per simulated second. Wall time is
-    /// accumulated across all `run_until*` and [`Sim::step`] calls; it
-    /// reads the host clock only at run-loop entry/exit, so it cannot
-    /// perturb simulated state. The window starts at construction or at
+    /// accumulated across all run calls; it reads the host clock only at
+    /// run-loop entry/exit, so it cannot perturb simulated state. The window starts at construction or at
     /// the last [`Sim::reset_profile`], whichever is later — resetting
     /// after a warm-up loop keeps warm-up out of every rate in the
     /// summary.
@@ -486,10 +530,9 @@ impl Sim {
     /// Re-anchor the self-profiling window at the current instant: zero
     /// the accumulated wall clock, re-base the event and sim-time
     /// counters, and clear the phase profiler's accumulators. Without
-    /// this, a manual [`Sim::step`] warm-up loop followed by
-    /// [`Sim::run_until_flows_done`] folds the warm-up into the same
-    /// anchors and [`Sim::profile`] double-counts it against any
-    /// external warm-up timing.
+    /// this, a warm-up run followed by [`Sim::run_until_flows_done`]
+    /// folds the warm-up into the same anchors and [`Sim::profile`]
+    /// double-counts it against any external warm-up timing.
     pub fn reset_profile(&mut self) {
         self.wall = std::time::Duration::ZERO;
         self.profile_base_events = self.events_processed;
@@ -589,17 +632,46 @@ impl Sim {
     }
 
     /// Run until the virtual clock reaches `t_end` (events at exactly
-    /// `t_end` are processed) or the event queue drains.
+    /// `t_end` are processed) or the event queue drains. A `t_end` behind
+    /// the clock dispatches nothing and leaves the clock where it is.
     pub fn run_until(&mut self, t_end: SimTime) {
-        let started = std::time::Instant::now();
-        self.run_until_inner(t_end, started);
-        self.kernel.prof.run_break();
-        self.wall += started.elapsed();
+        self.run_open(Stop { time: t_end, events: u64::MAX, flows: false });
     }
 
-    /// Schedule the first sampling tick exactly once (shared by the run
-    /// loops and [`Sim::step`], so manual stepping at t = 0 cannot
-    /// double-schedule it).
+    /// Run until `events` events have been dispatched in total (see
+    /// [`Sim::events_processed`]) or the queue drains; returns whether the
+    /// count was reached. The way to bring a sim to an exact event index
+    /// (a snapshot, a perturbation, a bisection probe): the state it
+    /// leaves is byte-identical to any other entry point's at that index.
+    pub fn run_until_event(&mut self, events: u64) -> bool {
+        self.run_open(Stop { time: SimTime::MAX, events, flows: false });
+        self.events_processed >= events
+    }
+
+    /// Process exactly one pending event. Returns `false` when nothing was
+    /// dispatched: the queue is empty or a run budget tripped (see
+    /// [`Sim::budget_failure`]). A `step` loop costs two host-clock reads
+    /// per call ([`Sim::profile`]'s wall accounting) over one longer run.
+    pub fn step(&mut self) -> bool {
+        let before = self.events_processed;
+        self.run_until_event(before + 1);
+        self.events_processed > before
+    }
+
+    /// Run a stop that has no verdict to return: a failure is recorded
+    /// ([`Sim::budget_failure`]) and published instead.
+    fn run_open(&mut self, stop: Stop) {
+        if let Halt::Failed(e) = self.run(stop) {
+            let v = RunVerdict::Failed(e);
+            self.publish_verdict(&v);
+            if let RunVerdict::Failed(e) = v {
+                self.budget_failure = Some(e);
+            }
+        }
+    }
+
+    /// Schedule the first sampling tick exactly once (so stepping at
+    /// t = 0 cannot double-schedule it).
     fn bootstrap_sampling(&mut self) {
         if self.sampling_bootstrapped {
             return;
@@ -612,11 +684,17 @@ impl Sim {
         }
     }
 
-    /// Pop the next scheduled event, routing scheduler accounting
-    /// through the phase profiler (one branch each way when disabled).
-    fn pop_next(&mut self) -> Option<Scheduled> {
+    /// Take the next event off the queue if it is due by `limit`,
+    /// routing scheduler accounting through the phase profiler (one
+    /// branch each way when disabled). Out of line, like [`Sim::dispatch`],
+    /// and handing the wheel's `Option` on untouched: across a call the
+    /// 64-byte `Scheduled` moves as four aligned 16-byte words; inlined (or
+    /// unwrapped and re-wrapped) LLVM splits it into overlapping pieces
+    /// whose reloads miss store forwarding, +15 ns/event on the benchmark.
+    #[inline(never)]
+    fn pop_until(&mut self, limit: SimTime) -> Option<Scheduled> {
         self.kernel.prof.pop_begin();
-        let s = self.kernel.pop();
+        let s = self.kernel.pop_until(limit);
         if let Some(sch) = &s {
             if self.kernel.prof.note_pop(sch.at.as_nanos()) {
                 let depth = self.kernel.pending();
@@ -630,140 +708,170 @@ impl Sim {
         s
     }
 
-    /// Surface any past-due schedule clamps the last dispatch produced:
-    /// bump the telemetry counter and (sanitizer mask willing) publish a
-    /// [`SimEvent::SchedClamp`]. The happy path — no clamp ever — is the
-    /// single comparison in the caller's `if`.
-    #[cold]
-    fn publish_clamps(&mut self) {
-        let total = self.kernel.past_due_clamps;
-        self.clamps_published = total;
-        if self.trace.wants(EventMask::SANITIZER) {
-            self.trace.publish_event(SimEvent::SchedClamp {
-                t: self.kernel.now,
-                requested: self.kernel.last_clamp_requested,
-                total,
-            });
-        }
-    }
-
-    /// Process exactly one pending event (manual stepping for warm-up
-    /// loops and fine-grained tests). Returns `false` when the queue is
-    /// empty. Wall time accrues to the same profile anchors as
-    /// `run_until*` — entry/exit reads of a fresh `Instant` — so
-    /// interleaving `step` loops with [`Sim::run_until_flows_done`]
-    /// never double-counts (see [`Sim::reset_profile`] to exclude the
-    /// warm-up entirely). Budget guards are not consulted here: a single
-    /// step cannot livelock.
-    pub fn step(&mut self) -> bool {
+    /// The run loop: every public entry point is this with a different
+    /// [`Stop`]. An event leaves the queue only to be dispatched — the
+    /// time limit is checked inside the pop, everything else before it:
+    /// [`Sim::gate`] vets the call's first event, and each later one is
+    /// vetted by the probe after its predecessor or, between probes (when
+    /// no budget can trip), by `reached` alone.
+    fn run(&mut self, stop: Stop) -> Halt {
         let started = std::time::Instant::now();
         self.bootstrap_sampling();
-        let stepped = if let Some(s) = self.pop_next() {
-            self.kernel.now = s.at;
-            self.events_processed += 1;
-            self.dispatch(s.ev);
-            if self.kernel.past_due_clamps != self.clamps_published {
-                self.publish_clamps();
-            }
-            let _ = self.audit_if_due();
-            true
-        } else {
-            false
+        let stall_trip = self.kernel.config.budget.stall_events.unwrap_or(u64::MAX);
+        let halt = match self.gate(&stop, started) {
+            Some(halt) => halt,
+            None => loop {
+                let Some(s) = self.pop_until(stop.time) else {
+                    if self.kernel.pending() == 0 {
+                        break Halt::Drained;
+                    }
+                    // `max`: a limit behind the clock must not rewind it.
+                    self.kernel.now = self.kernel.now.max(stop.time);
+                    break Halt::Deadline;
+                };
+                // The livelock odometer: consecutive events without the
+                // clock moving. One short of its budget, ask for the probe.
+                if s.at > self.kernel.now {
+                    self.stall_run = 0;
+                } else {
+                    self.stall_run += 1;
+                    if self.stall_run + 1 >= stall_trip {
+                        self.kernel.probe_at = 0;
+                    }
+                }
+                self.kernel.now = s.at;
+                self.events_processed += 1;
+                self.dispatch(s.ev);
+                if self.events_processed >= self.kernel.probe_at {
+                    if let Some(halt) = self.probe(&stop, started) {
+                        break halt;
+                    }
+                } else if self.reached(&stop) {
+                    break Halt::Reached;
+                }
+            },
         };
         self.kernel.prof.run_break();
         self.wall += started.elapsed();
-        stepped
+        halt
     }
 
-    fn run_until_inner(&mut self, t_end: SimTime, started: std::time::Instant) {
-        self.bootstrap_sampling();
-        while let Some(s) = self.pop_next() {
-            if s.at > t_end {
-                // Not yet due: put it back and stop.
-                self.kernel.requeue(s);
-                self.kernel.now = t_end;
-                break;
-            }
-            if let Some(e) = self.budget_breach(s.at, started) {
-                // Open-ended runs have no verdict to return; record the
-                // failure (retrievable via [`Sim::budget_failure`]), publish
-                // it, and stop instead of spinning forever.
-                self.kernel.requeue(s);
-                let v = RunVerdict::Failed(e);
-                self.publish_verdict(&v);
-                self.budget_failure = v.err().cloned();
-                break;
-            }
-            self.kernel.now = s.at;
-            self.events_processed += 1;
-            self.dispatch(s.ev);
-            if self.kernel.past_due_clamps != self.clamps_published {
-                self.publish_clamps();
-            }
-            // Open-ended runs have no completion criterion to abort toward;
-            // audits still record violations and pause metrics.
-            let _ = self.audit_if_due();
-            if self.checkpoint.is_some() {
-                self.auto_checkpoint();
-            }
-            if self.digest_ledger.is_some() {
-                self.record_state_digest();
+    /// Whether `stop`'s event count or flow completion has been reached.
+    fn reached(&self, stop: &Stop) -> bool {
+        self.events_processed >= stop.events
+            || (stop.flows && self.trace.fcts.len() as u64 >= self.finite_flows)
+    }
+
+    /// May the next event be dispatched? Not once the stop is reached, and
+    /// not past a run budget.
+    fn gate(&mut self, stop: &Stop, started: std::time::Instant) -> Option<Halt> {
+        if self.reached(stop) {
+            return Some(Halt::Reached);
+        }
+        self.budget_breach(stop, started).map(Halt::Failed)
+    }
+
+    /// Everything the run loop does less often than once per event, behind
+    /// its one `events_processed >= probe_at` compare. For the event just
+    /// dispatched, in this order: publish past-due schedule clamps, audit
+    /// if the sanitizer says one is due, auto-checkpoint and record a
+    /// digest-ledger row on their strides. Then set `probe_at` to the next
+    /// event count with work for it and vet the next event ([`Sim::gate`]).
+    #[cold]
+    fn probe(&mut self, stop: &Stop, started: std::time::Instant) -> Option<Halt> {
+        let clamps = self.kernel.past_due_clamps;
+        if clamps != self.clamps_published {
+            self.clamps_published = clamps;
+            if self.trace.wants(EventMask::SANITIZER) {
+                self.trace.publish_event(SimEvent::SchedClamp {
+                    t: self.kernel.now,
+                    requested: self.kernel.last_clamp_requested,
+                    total: clamps,
+                });
             }
         }
+        if self.sanitizer.due(self.kernel.now) {
+            // Only a run toward flow completion aborts on a violation;
+            // open-ended ones have no completion criterion to abort
+            // toward and keep recording violations and pause metrics.
+            if let (Some(e), true) = (self.run_audit(), stop.flows) {
+                return Some(Halt::Failed(e));
+            }
+        }
+        self.auto_checkpoint();
+        self.record_state_digest();
+        self.kernel.probe_at = self.next_probe();
+        self.gate(stop, started)
     }
 
-    /// The budget failure recorded by an open-ended [`Sim::run_until`] call,
-    /// if a guard tripped (bounded runs return theirs through the
-    /// [`RunVerdict`] of [`Sim::run_until_flows_done`]).
+    /// The first event count after this one at which [`Sim::probe`] can
+    /// have work: the minimum of the enabled strides and the event budget.
+    /// The sanitizer's audit period is in simulated time and a livelock
+    /// about to trip is decided by the next event's timestamp, so either
+    /// means "every event". (A schedule clamp and the stall odometer pull
+    /// `probe_at` down themselves; `enable_*` and [`Sim::restore`] reset it.)
+    fn next_probe(&self) -> u64 {
+        let n = self.events_processed;
+        let b = &self.kernel.config.budget;
+        if self.sanitizer.is_enabled() || b.stall_events.is_some_and(|l| self.stall_run + 1 >= l) {
+            return n;
+        }
+        let after = |stride: u64| (n / stride + 1).saturating_mul(stride);
+        let mut at = b.max_events.unwrap_or(u64::MAX);
+        if b.wall_clock_ms.is_some() {
+            at = at.min(after(WALL_CHECK_STRIDE));
+        }
+        if let Some(p) = &self.checkpoint {
+            at = at.min(after(p.stride));
+        }
+        if let Some(l) = &self.digest_ledger {
+            at = at.min(after(l.stride()));
+        }
+        at
+    }
+
+    /// The budget failure recorded by an open-ended run ([`Sim::run_until`],
+    /// [`Sim::run_until_event`], [`Sim::step`]), if a guard tripped
+    /// (bounded runs return theirs through the [`RunVerdict`] of
+    /// [`Sim::run_until_flows_done`]).
     pub fn budget_failure(&self) -> Option<&SimError> {
         self.budget_failure.as_ref()
     }
 
-    /// Check the runtime budgets for the event about to be dispatched at
-    /// `at`. Pure bookkeeping: never schedules or reorders anything, so a
-    /// run within budget is bit-identical under any budget setting.
-    fn budget_breach(&mut self, at: SimTime, started: std::time::Instant) -> Option<SimError> {
+    /// Check the runtime budgets against the event the loop would
+    /// dispatch next. Pure bookkeeping: never schedules or reorders
+    /// anything, so a run within budget is bit-identical under any budget
+    /// setting. A budget only fails a run that would otherwise go on: with
+    /// nothing due by the stop's time limit the loop reports the drained
+    /// queue or the deadline instead.
+    fn budget_breach(&mut self, stop: &Stop, started: std::time::Instant) -> Option<SimError> {
         let b = self.kernel.config.budget;
-        if let Some(limit) = b.max_events {
-            if self.events_processed >= limit {
-                return Some(SimError::BudgetExhausted {
-                    at: self.kernel.now,
-                    events: self.events_processed,
-                    limit,
-                    incomplete_flows: self.incomplete_finite(),
-                });
-            }
+        let events = self.events_processed;
+        let exhausted = b.max_events.filter(|&limit| events >= limit);
+        // Strided: a clock read every 4096 events keeps the enabled cost
+        // negligible while still bounding a hung cell tightly.
+        let overtime = b.wall_clock_ms.filter(|_| events.is_multiple_of(WALL_CHECK_STRIDE)).and_then(|limit_ms| {
+            let wall_ms = (self.wall + started.elapsed()).as_millis() as u64;
+            (wall_ms >= limit_ms).then_some((wall_ms, limit_ms))
+        });
+        let stalling = b.stall_events.is_some_and(|limit| self.stall_run + 1 >= limit);
+        if exhausted.is_none() && overtime.is_none() && !stalling {
+            return None;
         }
-        if let Some(limit_ms) = b.wall_clock_ms {
-            // Strided: a clock read every 4096 events keeps the enabled
-            // cost negligible while still bounding a hung cell tightly.
-            if self.events_processed & 0xFFF == 0 {
-                let wall_ms = (self.wall + started.elapsed()).as_millis() as u64;
-                if wall_ms >= limit_ms {
-                    return Some(SimError::WallClockExceeded {
-                        at: self.kernel.now,
-                        wall_ms,
-                        limit_ms,
-                        incomplete_flows: self.incomplete_finite(),
-                    });
-                }
-            }
+        let next = self.kernel.sched.peek().map(|s| s.at).filter(|&at| at <= stop.time)?;
+        let at = self.kernel.now;
+        let incomplete_flows = self.incomplete_finite();
+        if let Some(limit) = exhausted {
+            return Some(SimError::BudgetExhausted { at, events, limit, incomplete_flows });
         }
-        if at > self.kernel.now {
-            self.stall_run = 0;
-        } else {
-            self.stall_run += 1;
-            if let Some(limit) = b.stall_events {
-                if self.stall_run >= limit {
-                    return Some(SimError::Stalled {
-                        at: self.kernel.now,
-                        events_at_instant: self.stall_run,
-                        incomplete_flows: self.incomplete_finite(),
-                    });
-                }
-            }
+        if let Some((wall_ms, limit_ms)) = overtime {
+            return Some(SimError::WallClockExceeded { at, wall_ms, limit_ms, incomplete_flows });
         }
-        None
+        if next > at {
+            return None; // the clock is about to move: no livelock
+        }
+        self.stall_run += 1;
+        Some(SimError::Stalled { at, events_at_instant: self.stall_run, incomplete_flows })
     }
 
     /// Finite flows still outstanding (budget-verdict bookkeeping).
@@ -777,72 +885,31 @@ impl Sim {
     /// named, invariant violations, a drained event heap, or a plain
     /// deadline miss) instead of a bare `false`.
     pub fn run_until_flows_done(&mut self, max_t: SimTime) -> RunVerdict {
-        let started = std::time::Instant::now();
-        let verdict = self.run_until_flows_done_inner(max_t, started);
-        self.kernel.prof.run_break();
-        self.wall += started.elapsed();
+        let failure = match self.run(Stop { time: max_t, events: u64::MAX, flows: true }) {
+            Halt::Failed(e) => Some(e),
+            Halt::Drained => Some(self.stall_error(true)),
+            Halt::Deadline => Some(self.stall_error(false)),
+            // One final audit at end-of-run so a violation in the closing
+            // events cannot slip out unchecked.
+            Halt::Reached if self.sanitizer.is_enabled() => self.run_audit(),
+            Halt::Reached => None,
+        };
+        let verdict = failure.map_or(RunVerdict::Completed { flows: self.finite_flows }, RunVerdict::Failed);
         self.publish_verdict(&verdict);
         verdict
-    }
-
-    fn run_until_flows_done_inner(
-        &mut self,
-        max_t: SimTime,
-        started: std::time::Instant,
-    ) -> RunVerdict {
-        let finite = self.finite_flows;
-        self.bootstrap_sampling();
-        while (self.trace.fcts.len() as u64) < finite {
-            let Some(s) = self.pop_next() else {
-                return RunVerdict::Failed(self.stall_error(finite, true));
-            };
-            if s.at > max_t {
-                self.kernel.requeue(s);
-                self.kernel.now = max_t;
-                return RunVerdict::Failed(self.stall_error(finite, false));
-            }
-            if let Some(e) = self.budget_breach(s.at, started) {
-                self.kernel.requeue(s);
-                return RunVerdict::Failed(e);
-            }
-            self.kernel.now = s.at;
-            self.events_processed += 1;
-            self.dispatch(s.ev);
-            if self.kernel.past_due_clamps != self.clamps_published {
-                self.publish_clamps();
-            }
-            if let Some(e) = self.audit_if_due() {
-                return RunVerdict::Failed(e);
-            }
-            if self.checkpoint.is_some() {
-                self.auto_checkpoint();
-            }
-            if self.digest_ledger.is_some() {
-                self.record_state_digest();
-            }
-        }
-        // One final audit at end-of-run so a violation in the closing
-        // events cannot slip out unchecked.
-        if self.sanitizer.is_enabled() {
-            if let Some(e) = self.run_audit() {
-                return RunVerdict::Failed(e);
-            }
-        }
-        RunVerdict::Completed { flows: finite }
     }
 
     /// Diagnose a stalled run (`drained` = the event heap emptied; otherwise
     /// the deadline passed). Precedence: a forced audit's invariant
     /// violations explain the most; then a one-shot pause-graph scan (which
     /// needs no sanitizer) names a deadlock cycle; else the stall kind.
-    fn stall_error(&mut self, finite: u64, drained: bool) -> SimError {
-        let incomplete = finite.saturating_sub(self.trace.fcts.len() as u64);
+    fn stall_error(&mut self, drained: bool) -> SimError {
         if self.sanitizer.is_enabled() {
             if let Some(e @ SimError::InvariantViolation { .. }) = self.run_audit() {
                 return e;
             }
         }
-        let report = self.scan_now();
+        let report = scan_pause_graph(&audit_view(&self.kernel, &self.topo, &self.nodes));
         if !report.cycle.is_empty() {
             return SimError::PfcDeadlock {
                 detected_at: self.kernel.now,
@@ -853,81 +920,22 @@ impl Sim {
         if drained {
             SimError::Drained {
                 at: self.kernel.now,
-                incomplete_flows: incomplete,
+                incomplete_flows: self.incomplete_finite(),
             }
         } else {
             SimError::DeadlineExceeded {
                 at: self.kernel.now,
-                incomplete_flows: incomplete,
+                incomplete_flows: self.incomplete_finite(),
                 paused_ports: report.paused_ports.len() as u64,
             }
         }
     }
 
-    /// Run a sanitizer audit if one is due (single branch when disabled).
-    fn audit_if_due(&mut self) -> Option<SimError> {
-        if !self.sanitizer.due(self.kernel.now) {
-            return None;
-        }
-        self.run_audit()
-    }
-
     /// Run one audit now (unconditionally; callers gate on enablement).
     fn run_audit(&mut self) -> Option<SimError> {
         self.kernel.prof.enter(Phase::Sanitizer);
-        let Sim {
-            kernel,
-            topo,
-            nodes,
-            trace,
-            sanitizer,
-            ..
-        } = self;
-        let mut hosts = Vec::new();
-        let mut switches = Vec::new();
-        for n in nodes.iter() {
-            match n {
-                NodeSlot::Host(h) => hosts.push(h),
-                NodeSlot::Switch(s) => switches.push(s),
-            }
-        }
-        let view = AuditView {
-            now: kernel.now,
-            config: &kernel.config,
-            topo,
-            faults: &kernel.faults,
-            hosts,
-            switches,
-            ledger: &kernel.san,
-            packets: &kernel.packets,
-            sched: &kernel.sched,
-        };
-        sanitizer.audit(&view, trace)
-    }
-
-    /// One-shot pause wait-for graph scan of the current state; pure read,
-    /// works with the sanitizer disabled.
-    fn scan_now(&self) -> PauseReport {
-        let mut hosts = Vec::new();
-        let mut switches = Vec::new();
-        for n in &self.nodes {
-            match n {
-                NodeSlot::Host(h) => hosts.push(h),
-                NodeSlot::Switch(s) => switches.push(s),
-            }
-        }
-        let view = AuditView {
-            now: self.kernel.now,
-            config: &self.kernel.config,
-            topo: &self.topo,
-            faults: &self.kernel.faults,
-            hosts,
-            switches,
-            ledger: &self.kernel.san,
-            packets: &self.kernel.packets,
-            sched: &self.kernel.sched,
-        };
-        scan_pause_graph(&view)
+        let view = audit_view(&self.kernel, &self.topo, &self.nodes);
+        self.sanitizer.audit(&view, &mut self.trace)
     }
 
     /// Publish the run verdict to telemetry and, on failure, dump its JSON
@@ -1129,6 +1137,7 @@ impl Sim {
         self.kernel.past_due_clamps = past_due_clamps;
         self.kernel.last_clamp_requested = last_clamp_requested;
         self.clamps_published = past_due_clamps;
+        self.kernel.probe_at = 0;
         self.kernel.rng = rng;
         self.kernel.sched = sched;
         self.events_processed = info.events_processed;
@@ -1142,11 +1151,12 @@ impl Sim {
     /// to `sink`. Checkpointing is pure observation — the serialized bytes
     /// are produced from reads only — so an auto-checkpointed run is
     /// schedule-bit-identical to an unchecked one (pinned by the
-    /// `observer_effect` integration test). Disabled cost is one branch
-    /// per dispatched event.
+    /// `observer_effect` integration test). Disabled, it costs the run
+    /// loop nothing.
     pub fn enable_auto_checkpoint(&mut self, stride: u64, sink: CheckpointSink) {
         assert!(stride > 0, "checkpoint stride must be positive");
         self.checkpoint = Some(CheckpointPolicy { stride, sink });
+        self.kernel.probe_at = 0;
     }
 
     /// Turn auto-checkpointing off (drops the sink).
@@ -1155,17 +1165,15 @@ impl Sim {
     }
 
     /// Take a checkpoint if the policy's stride divides the event count.
-    /// Callers gate on `self.checkpoint.is_some()` so the disabled path
-    /// never reaches here.
     fn auto_checkpoint(&mut self) {
-        let Some(mut pol) = self.checkpoint.take() else {
+        let events = self.events_processed;
+        if !self.checkpoint.as_ref().is_some_and(|p| events.is_multiple_of(p.stride)) {
             return;
-        };
-        if self.events_processed.is_multiple_of(pol.stride) {
-            let bytes = self.snapshot();
-            (pol.sink)(self.events_processed, &bytes);
         }
-        self.checkpoint = Some(pol);
+        let bytes = self.snapshot();
+        if let Some(p) = &mut self.checkpoint {
+            (p.sink)(events, &bytes);
+        }
     }
 
     // ------------------------------------------- divergence observatory
@@ -1205,11 +1213,12 @@ impl Sim {
     /// via [`Sim::digest_ledger`] / [`Sim::take_digest_ledger`]. Recording
     /// is pure observation — digests are computed from reads only — so a
     /// recorded run is schedule-bit-identical to an unrecorded one (pinned
-    /// by the `observer_effect` suite). Disabled cost is one branch per
-    /// dispatched event, exactly like auto-checkpointing.
+    /// by the `observer_effect` suite). Disabled, it costs the run loop
+    /// nothing, exactly like auto-checkpointing.
     pub fn enable_digest_ledger(&mut self, stride: u64) {
         assert!(stride > 0, "digest ledger stride must be positive");
         self.digest_ledger = Some(crate::digest::DigestLedger::new(stride));
+        self.kernel.probe_at = 0;
     }
 
     /// The digest ledger recorded so far, if enabled.
@@ -1223,22 +1232,17 @@ impl Sim {
     }
 
     /// Record a ledger entry if the stride divides the event count.
-    /// Callers gate on `self.digest_ledger.is_some()` so the disabled
-    /// path never reaches here.
     fn record_state_digest(&mut self) {
-        let due = self
-            .digest_ledger
-            .as_ref()
-            .is_some_and(|l| self.events_processed.is_multiple_of(l.stride()));
-        if !due {
+        let events = self.events_processed;
+        if !self.digest_ledger.as_ref().is_some_and(|l| events.is_multiple_of(l.stride())) {
             return;
         }
         let entry = crate::digest::DigestLedgerEntry {
-            events: self.events_processed,
+            events,
             t_ns: self.kernel.now.as_nanos(),
             digests: self.state_digest(),
         };
-        if let Some(l) = self.digest_ledger.as_mut() {
+        if let Some(l) = &mut self.digest_ledger {
             l.push(entry);
         }
     }
@@ -1247,6 +1251,7 @@ impl Sim {
     /// currently paused or crashed (flow starts, pending CC timers).
     const HOST_DOWN_RETRY: SimDuration = SimDuration::from_micros(100);
 
+    #[inline(never)] // see `Sim::pop_until`
     fn dispatch(&mut self, ev: Event) {
         if self.kernel.prof.is_enabled() {
             self.kernel.prof.dispatch_begin(ev.kind_idx());
@@ -1836,9 +1841,11 @@ mod tests {
             srcs.push(h);
         }
         let topo = b.build();
-        let mut cfg = SimConfig::default();
-        cfg.buffer_mode = crate::config::BufferMode::LossyTailDrop {
-            limit_bytes: 30_000,
+        let cfg = SimConfig {
+            buffer_mode: crate::config::BufferMode::LossyTailDrop {
+                limit_bytes: 30_000,
+            },
+            ..SimConfig::default()
         };
         let mut sim = Sim::new(
             topo,
@@ -1892,31 +1899,19 @@ mod tests {
         assert!(err < 0.05, "delivered {delivered} vs expected {expect}");
     }
 
+    /// [`one_flow_sim`] under `budget`.
+    fn budgeted(budget: crate::config::RunBudget, size: u64) -> Sim {
+        one_flow_sim(SimConfig { budget, ..SimConfig::default() }, size).0
+    }
+
     #[test]
     fn event_budget_exhaustion_yields_typed_verdict() {
-        let topo = two_hosts_one_switch();
-        let h0 = topo.hosts()[0];
-        let h1 = topo.hosts()[1];
-        let mut cfg = SimConfig::default();
-        cfg.budget = crate::config::RunBudget {
+        let budget = crate::config::RunBudget {
             max_events: Some(50),
             stall_events: None,
             wall_clock_ms: None,
         };
-        let mut sim = Sim::new(
-            topo,
-            cfg,
-            Box::new(NullHostCcFactory),
-            Box::new(NullSwitchCcFactory),
-        );
-        sim.add_flow(FlowSpec {
-            id: FlowId(1),
-            src: h0,
-            dst: h1,
-            size: 10_000_000,
-            start: SimTime::ZERO,
-            offered: None,
-        });
+        let mut sim = budgeted(budget, 10_000_000);
         let v = sim.run_until_flows_done(SimTime::from_millis(100));
         match v.err() {
             Some(e @ SimError::BudgetExhausted { limit, events, .. }) => {
@@ -1932,6 +1927,25 @@ mod tests {
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
         assert_eq!(sim.events_processed(), 50);
+        // The other entry points stop at exactly the same event.
+        let mut steps = 0;
+        for name in ["run_until", "run_until_event", "step"] {
+            let mut sim = budgeted(budget, 10_000_000);
+            match name {
+                "run_until" => sim.run_until(SimTime::from_millis(100)),
+                "run_until_event" => assert!(!sim.run_until_event(1_000)),
+                _ => {
+                    while sim.step() {
+                        steps += 1;
+                        assert!(sim.budget_failure().is_none(), "tripped early, at step {steps}");
+                    }
+                }
+            }
+            assert_eq!(sim.events_processed(), 50, "{name}");
+            let failure = sim.budget_failure();
+            assert!(matches!(failure, Some(SimError::BudgetExhausted { .. })), "{name}: {failure:?}");
+        }
+        assert_eq!(steps, 50);
     }
 
     /// A zero sample period makes `Sample` reschedule itself at `now`
@@ -1939,40 +1953,35 @@ mod tests {
     /// sim-time deadline is useless here — only the livelock guard fires.
     #[test]
     fn livelock_is_detected_as_stalled() {
-        let topo = two_hosts_one_switch();
-        let h0 = topo.hosts()[0];
-        let h1 = topo.hosts()[1];
-        let mut cfg = SimConfig::default();
-        cfg.budget = crate::config::RunBudget {
-            max_events: None,
-            stall_events: Some(10_000),
-            wall_clock_ms: None,
+        let livelocked = || {
+            let mut sim = budgeted(
+                crate::config::RunBudget {
+                    max_events: None,
+                    stall_events: Some(10_000),
+                    wall_clock_ms: None,
+                },
+                100_000,
+            );
+            sim.trace.sample_period = Some(SimDuration::ZERO);
+            sim
         };
-        let mut sim = Sim::new(
-            topo,
-            cfg,
-            Box::new(NullHostCcFactory),
-            Box::new(NullSwitchCcFactory),
-        );
-        sim.trace.sample_period = Some(SimDuration::ZERO);
-        sim.add_flow(FlowSpec {
-            id: FlowId(1),
-            src: h0,
-            dst: h1,
-            size: 100_000,
-            start: SimTime::ZERO,
-            offered: None,
-        });
+        let mut sim = livelocked();
         let v = sim.run_until_flows_done(SimTime::from_millis(100));
         match v.err() {
             Some(e @ SimError::Stalled { events_at_instant, incomplete_flows, .. }) => {
-                assert!(*events_at_instant >= 10_000);
+                assert_eq!(*events_at_instant, 10_000);
                 assert_eq!(*incomplete_flows, 1);
                 assert!(e.is_budget());
                 assert!(e.to_json().contains("\"verdict\":\"stalled\""));
             }
             other => panic!("expected Stalled, got {other:?}"),
         }
+        // A step loop stalls after the same event, in the same state.
+        let mut stepped = livelocked();
+        while stepped.step() {}
+        assert!(matches!(stepped.budget_failure(), Some(SimError::Stalled { .. })));
+        assert_eq!(stepped.events_processed(), sim.events_processed());
+        assert!(stepped.snapshot() == sim.snapshot(), "stalled states differ");
     }
 
     #[test]
@@ -1980,11 +1989,13 @@ mod tests {
         let topo = two_hosts_one_switch();
         let h0 = topo.hosts()[0];
         let h1 = topo.hosts()[1];
-        let mut cfg = SimConfig::default();
-        cfg.budget = crate::config::RunBudget {
-            max_events: None,
-            stall_events: Some(1_000),
-            wall_clock_ms: None,
+        let cfg = SimConfig {
+            budget: crate::config::RunBudget {
+                max_events: None,
+                stall_events: Some(1_000),
+                wall_clock_ms: None,
+            },
+            ..SimConfig::default()
         };
         let mut sim = Sim::new(
             topo,
@@ -2012,25 +2023,7 @@ mod tests {
     #[test]
     fn healthy_run_is_bit_identical_under_budgets() {
         let run = |budget: crate::config::RunBudget| {
-            let topo = two_hosts_one_switch();
-            let h0 = topo.hosts()[0];
-            let h1 = topo.hosts()[1];
-            let mut cfg = SimConfig::default();
-            cfg.budget = budget;
-            let mut sim = Sim::new(
-                topo,
-                cfg,
-                Box::new(NullHostCcFactory),
-                Box::new(NullSwitchCcFactory),
-            );
-            sim.add_flow(FlowSpec {
-                id: FlowId(1),
-                src: h0,
-                dst: h1,
-                size: 200_000,
-                start: SimTime::ZERO,
-                offered: None,
-            });
+            let mut sim = budgeted(budget, 200_000);
             sim.run_until_flows_done(SimTime::from_millis(100)).assert_complete();
             (
                 sim.events_processed(),
@@ -2048,27 +2041,10 @@ mod tests {
 
     #[test]
     fn wall_clock_budget_yields_typed_verdict() {
-        let topo = two_hosts_one_switch();
-        let h0 = topo.hosts()[0];
-        let h1 = topo.hosts()[1];
-        let mut cfg = SimConfig::default();
         // A zero-millisecond ceiling trips on the first strided check,
         // making the test deterministic regardless of host speed.
-        cfg.budget = crate::config::RunBudget::default().with_wall_clock_ms(0);
-        let mut sim = Sim::new(
-            topo,
-            cfg,
-            Box::new(NullHostCcFactory),
-            Box::new(NullSwitchCcFactory),
-        );
-        sim.add_flow(FlowSpec {
-            id: FlowId(1),
-            src: h0,
-            dst: h1,
-            size: 10_000_000,
-            start: SimTime::ZERO,
-            offered: None,
-        });
+        let budget = crate::config::RunBudget::default().with_wall_clock_ms(0);
+        let mut sim = budgeted(budget, 10_000_000);
         let v = sim.run_until_flows_done(SimTime::from_millis(100));
         match v.err() {
             Some(e @ SimError::WallClockExceeded { limit_ms, incomplete_flows, .. }) => {
@@ -2080,6 +2056,11 @@ mod tests {
             }
             other => panic!("expected WallClockExceeded, got {other:?}"),
         }
+        // So does a step loop, before its first event.
+        let mut stepped = budgeted(budget, 10_000_000);
+        assert!(!stepped.step());
+        assert_eq!(stepped.events_processed(), 0);
+        assert!(matches!(stepped.budget_failure(), Some(SimError::WallClockExceeded { .. })));
     }
 
     #[test]
@@ -2163,8 +2144,7 @@ mod tests {
         let snap = sim.snapshot();
 
         // Different seed → ConfigMismatch.
-        let mut cfg = SimConfig::default();
-        cfg.seed = 999;
+        let cfg = SimConfig { seed: 999, ..SimConfig::default() };
         let mut other = Sim::new(
             two_hosts_one_switch(),
             cfg,
@@ -2221,7 +2201,7 @@ mod tests {
             start: SimTime::ZERO,
             offered: None,
         });
-        let taken: Rc<RefCell<Vec<(u64, Vec<u8>)>>> = Rc::new(RefCell::new(Vec::new()));
+        let taken = Rc::new(RefCell::new(Vec::<(u64, Vec<u8>)>::new()));
         let sink = {
             let taken = Rc::clone(&taken);
             Box::new(move |events: u64, bytes: &[u8]| {
@@ -2272,9 +2252,11 @@ mod tests {
         let topo = two_hosts_one_switch();
         let h0 = topo.hosts()[0];
         let h1 = topo.hosts()[1];
-        let mut cfg = SimConfig::default();
-        cfg.fault_plan = crate::fault::FaultPlan::default()
-            .with_host_crash_forever(h0, SimTime::from_micros(5));
+        let cfg = SimConfig {
+            fault_plan: crate::fault::FaultPlan::default()
+                .with_host_crash_forever(h0, SimTime::from_micros(5)),
+            ..SimConfig::default()
+        };
         let mut sim = Sim::new(
             topo,
             cfg,
@@ -2310,12 +2292,14 @@ mod tests {
         let topo = two_hosts_one_switch();
         let h0 = topo.hosts()[0];
         let h1 = topo.hosts()[1];
-        let mut cfg = SimConfig::default();
-        cfg.fault_plan = crate::fault::FaultPlan::default().with_host_crash(
-            h0,
-            SimTime::from_micros(5),
-            SimTime::from_micros(300),
-        );
+        let cfg = SimConfig {
+            fault_plan: crate::fault::FaultPlan::default().with_host_crash(
+                h0,
+                SimTime::from_micros(5),
+                SimTime::from_micros(300),
+            ),
+            ..SimConfig::default()
+        };
         let mut sim = Sim::new(
             topo,
             cfg,
@@ -2468,35 +2452,29 @@ mod tests {
     }
 
     #[test]
-    fn requeue_updates_peak_pending() {
-        // Pin the requeue accounting fix: a requeue that grows the queue
-        // past every prior high-water mark must raise `peak_pending`,
-        // exactly like `schedule` does. Before the fix, requeue re-pushed
-        // without touching `peak_heap`, under-reporting peaks on
-        // deadline-bounded runs (where the loop pops one event past the
-        // deadline and puts it back).
-        let topo = two_hosts_one_switch();
-        let mut sim = Sim::new(
-            topo,
-            SimConfig::default(),
-            Box::new(NullHostCcFactory),
-            Box::new(NullSwitchCcFactory),
-        );
-        sim.kernel.schedule(SimTime::from_micros(5), Event::Sample);
-        sim.kernel.schedule(SimTime::from_micros(6), Event::Sample);
-        assert_eq!(sim.kernel.peak_pending(), 2);
-        let head = sim.kernel.pop().expect("two events pending");
-        // Simulate a fresh kernel whose only growth is via requeue: reset
-        // the watermark (tests live in the module, fields are reachable)
-        // and put the popped head back.
-        sim.kernel.peak_heap = 0;
-        sim.kernel.requeue(head);
-        assert_eq!(
-            sim.kernel.peak_pending(),
-            2,
-            "requeue must update the peak-pending watermark"
-        );
-        assert_eq!(sim.kernel.pending(), 2);
+    fn run_until_an_earlier_instant_does_not_rewind_the_clock() {
+        let (mut sim, h0) = one_flow_sim(SimConfig::default(), 100_000);
+        // Something must be pending for the deadline to move the clock.
+        sim.stop_flow_at(FlowId(1), SimTime::from_millis(50));
+        sim.run_until(SimTime::from_millis(5));
+        assert_eq!(sim.kernel.now, SimTime::from_millis(5));
+        let events = sim.events_processed();
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(sim.kernel.now, SimTime::from_millis(5), "clock went backwards");
+        assert_eq!(sim.events_processed(), events, "nothing is due by an earlier instant");
+        // A flow registered now starts at the clock, not in the gap the
+        // rewind used to open, and runs to completion.
+        sim.add_flow(FlowSpec {
+            id: FlowId(2),
+            src: sim.topo().hosts()[1],
+            dst: h0,
+            size: 100_000,
+            start: SimTime::from_millis(5),
+            offered: None,
+        });
+        sim.run_until_flows_done(SimTime::from_millis(50)).assert_complete();
+        assert!(sim.trace.fcts[1].end > SimTime::from_millis(5));
+        assert_eq!(sim.kernel.past_due_clamps(), 0);
     }
 
     #[test]

@@ -19,11 +19,12 @@ use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-/// Timer token reserved for the transport's retransmission timeout; CC
-/// implementations may use tokens `0..=2`.
-pub const RTO_TOKEN: u8 = 3;
-/// Number of per-flow timer slots (tokens `0..TIMER_SLOTS`).
-pub const TIMER_SLOTS: usize = 4;
+/// Number of per-flow CC timer slots: CC implementations may use tokens
+/// `0..TIMER_SLOTS`, and asking for any other panics.
+pub const TIMER_SLOTS: usize = 3;
+/// `HostCcTimer` token that tags the transport's retransmission-timeout
+/// event (which has a deadline, not a generation slot).
+pub const RTO_TOKEN: u8 = TIMER_SLOTS as u8;
 
 /// Sender-side state for one flow.
 struct SenderFlow {
@@ -42,9 +43,8 @@ struct SenderFlow {
     offered: Option<BitRate>,
     /// Time and wire size of the last transmitted packet (pacing baseline).
     last_tx: Option<(SimTime, u64)>,
-    /// Per-token timer generations for the CC's tokens (slot [`RTO_TOKEN`]
-    /// is unused); events carrying stale generations are ignored, which
-    /// implements reset/cancel.
+    /// Per-token timer generations for the CC's tokens; events carrying
+    /// stale generations are ignored, which implements reset/cancel.
     timer_gen: [u64; TIMER_SLOTS],
     /// When the go-back-N timeout fires (`None` = cancelled). Every arm
     /// sets it to `now + rto`, so it only ever moves forward.
@@ -319,19 +319,19 @@ impl Host {
             return;
         };
         for token in ctx.cancel_timers {
-            let t = token as usize % TIMER_SLOTS;
-            f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
+            let g = &mut f.timer_gen[token as usize];
+            *g = g.wrapping_add(1);
         }
         for (token, d) in ctx.set_timers {
-            let t = token as usize % TIMER_SLOTS;
-            f.timer_gen[t] = f.timer_gen[t].wrapping_add(1);
+            let g = &mut f.timer_gen[token as usize];
+            *g = g.wrapping_add(1);
             k.schedule(
                 k.now + d,
                 Event::HostCcTimer {
                     node: self.id,
                     flow,
-                    token: t as u8,
-                    gen: f.timer_gen[t],
+                    token,
+                    gen: *g,
                 },
             );
         }
@@ -603,7 +603,7 @@ impl Host {
                     w.u64(b);
                 }
             }
-            for g in &f.timer_gen[..RTO_TOKEN as usize] {
+            for g in &f.timer_gen {
                 w.u64(*g);
             }
             w.opt_u64(f.rto_deadline.map(SimTime::as_nanos));
@@ -717,7 +717,7 @@ impl Host {
                 _ => return Err(SnapshotError::Malformed("last-tx tag")),
             };
             let mut timer_gen = [0u64; TIMER_SLOTS];
-            for g in &mut timer_gen[..RTO_TOKEN as usize] {
+            for g in &mut timer_gen {
                 *g = r.u64()?;
             }
             let rto_deadline = r.opt_u64()?.map(SimTime::from_nanos);
@@ -1048,7 +1048,7 @@ impl Host {
             }
             return;
         }
-        if f.timer_gen[token as usize % TIMER_SLOTS] != gen {
+        if f.timer_gen[token as usize] != gen {
             return; // stale (reset or cancelled)
         }
         let mut ctx = self.cc_ctx(k, trace.cc_mask());
@@ -1289,8 +1289,7 @@ mod tests {
         /// Dispatch every queued event due by `t` the way the engine would,
         /// then let the model catch up over the same window.
         fn advance_to(&mut self, t: u64) {
-            while self.k.sched.peek().is_some_and(|s| s.at.as_nanos() <= t) {
-                let s = self.k.pop().expect("peeked");
+            while let Some(s) = self.k.pop_until(SimTime::from_nanos(t)) {
                 self.k.now = s.at;
                 match s.ev {
                     Event::Arrive { pr, .. } => drop(self.k.packets.take(pr)),

@@ -581,7 +581,7 @@ pub struct ProfileContext {
     pub slab_peak: usize,
     /// Entries in the flow directory (the hottest fastmap).
     pub flow_dir_entries: usize,
-    /// Scheduler introspection counters (cascades, rebases).
+    /// Scheduler introspection counters (cascades, deepest level).
     pub sched: SchedStats,
     /// Per-level wheel occupancy at export time.
     pub level_depths: [u64; WHEEL_LEVELS],

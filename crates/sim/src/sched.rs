@@ -35,17 +35,18 @@
 //!    no other bucket's level assignment changes because the clock only
 //!    advances within the expanded slot's window.
 //!
-//! ## Pushes into the past
+//! ## Bounded pops and the `push ≥ clock` contract
 //!
-//! The run loops pop an event to *look* at it and requeue it when it
-//! lies beyond the run's deadline; the pop advanced the wheel clock to
-//! that event's timestamp, but the kernel clock rewinds to the deadline.
-//! A later `schedule()` may then legitimately target the gap. The wheel
-//! handles any push below its clock by **rebasing**: drain every bucket
-//! and re-insert relative to the new, smaller clock. O(n), but it can
-//! only happen right after a deadline requeue — never in the steady
-//! state — and correctness is what's non-negotiable here. The
-//! always-counted [`SchedStats::rebases`] makes the cost observable.
+//! The run loop never takes an event it will not dispatch:
+//! [`TimingWheel::pop_until`] answers "nothing due by `limit`" from the
+//! occupancy bitmaps alone. A level-0 slot pins its full timestamp
+//! (invariant 2) and a cascade target's window start is a lower bound on
+//! everything in it, so the wheel either pops an event `≤ limit` or
+//! returns `None` having moved its clock no further than `limit` — never
+//! past an event that is still queued. The kernel's clock (the last
+//! dispatched event's time, or a later deadline) therefore never trails the
+//! wheel's, its `schedule()` clamp (`at ≥ now`) implies `at ≥` the wheel
+//! clock, and [`TimingWheel::push`] asserts exactly that.
 
 use crate::engine::Event;
 use crate::time::SimTime;
@@ -101,8 +102,9 @@ pub struct SchedStats {
     pub cascades: u64,
     /// Events moved to a lower level by those expansions.
     pub cascaded_events: u64,
-    /// Full drain-and-reinsert rebases triggered by pushes below the
-    /// wheel clock (deadline-requeue aftermath; see module docs).
+    /// Always 0: nothing pushes below the wheel clock any more (see the
+    /// module docs). Kept because the benchmark's `sched.rebases` metric
+    /// reads it; goes when that metric does.
     pub rebases: u64,
     /// Highest wheel level any event was ever inserted at.
     pub max_level: u8,
@@ -188,44 +190,32 @@ impl TimingWheel {
         }
     }
 
-    /// Drain every bucket and re-insert relative to a smaller clock.
-    /// Per-bucket FIFO order is preserved, and equal-`at` events always
-    /// share a bucket, so `(at, seq)` order survives the rebase.
-    #[cold]
-    fn rebase(&mut self, new_now_ns: u64) {
-        self.stats.rebases += 1;
-        let mut all = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.extend(b.drain(..));
-        }
-        self.occ = [[0; OCC_WORDS]; WHEEL_LEVELS];
-        self.level_len = [0; WHEEL_LEVELS];
-        self.now_ns = new_now_ns;
-        for s in all {
-            self.insert(s);
-        }
-    }
-
-    /// Expand the lowest occupied slot of the lowest occupied overflow
-    /// level into lower levels, advancing the clock to that slot's
-    /// window start. Caller guarantees level 0 is empty and `len > 0`.
-    #[cold]
-    fn cascade(&mut self) {
-        let lvl = (1..WHEEL_LEVELS)
-            .find(|&l| self.level_len[l] > 0)
-            .expect("cascade called on an empty wheel");
+    /// The slot the next pop drains or expands — the lowest occupied slot
+    /// of the lowest occupied level — and the earliest instant anything in
+    /// it can be due: the exact timestamp at level 0 (invariant 2), the
+    /// slot's window start above. `None` when the wheel is empty.
+    #[inline]
+    fn head(&self) -> Option<(usize, usize, u64)> {
+        let lvl = (0..WHEEL_LEVELS).find(|&l| self.level_len[l] > 0)?;
         let slot = first_occupied(&self.occ[lvl]).expect("level_len/occ out of sync");
-        // The slot's window start: bytes above `lvl` from the clock, byte
-        // `lvl` = slot, lower bytes zero. Occupied slots are never behind
-        // the cursor (no entries below the clock), so this only advances.
+        // Bytes above `lvl` from the clock, byte `lvl` = slot, lower bytes
+        // zero. Occupied slots are never behind the cursor (no entries
+        // below the clock), so this is ≥ the clock.
         let keep_above = if lvl == WHEEL_LEVELS - 1 {
             0
         } else {
             self.now_ns & !((1u64 << (SLOT_BITS * (lvl as u32 + 1))) - 1)
         };
-        let new_now = keep_above | ((slot as u64) << (SLOT_BITS * lvl as u32));
-        debug_assert!(new_now > self.now_ns);
-        self.now_ns = new_now;
+        Some((lvl, slot, keep_above | ((slot as u64) << (SLOT_BITS * lvl as u32))))
+    }
+
+    /// Expand overflow slot `(lvl, slot)` into lower levels, advancing the
+    /// clock to the slot's window `start`: a [`Self::head`] result with
+    /// `lvl > 0`.
+    #[cold]
+    fn cascade(&mut self, lvl: usize, slot: usize, start: u64) {
+        debug_assert!(start > self.now_ns);
+        self.now_ns = start;
         let idx = (lvl << SLOT_BITS) | slot;
         let mut moved = std::mem::take(&mut self.scratch);
         moved.extend(self.buckets[idx].drain(..));
@@ -241,14 +231,18 @@ impl TimingWheel {
         self.scratch = moved;
     }
 
-    /// Insert an event. `at` may be below the most recently popped
-    /// timestamp (see the module docs on rebasing); order among live
+    /// Insert an event due at or after the wheel clock (the most recent
+    /// pop, or the window start a bounded pop stopped at — see the module
+    /// docs for why the kernel's clamp guarantees it). Order among live
     /// entries is always `(at, seq)`.
     #[inline]
     pub fn push(&mut self, s: Scheduled) {
-        if s.at.as_nanos() < self.now_ns {
-            self.rebase(s.at.as_nanos());
-        }
+        assert!(
+            s.at.as_nanos() >= self.now_ns,
+            "push at {} ns is below the wheel clock ({} ns)",
+            s.at.as_nanos(),
+            self.now_ns
+        );
         self.insert(s);
         self.len += 1;
     }
@@ -256,58 +250,44 @@ impl TimingWheel {
     /// Remove and return the minimum `(at, seq)` entry.
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled> {
-        if self.len == 0 {
-            return None;
-        }
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Remove and return the minimum `(at, seq)` entry if it is due at or
+    /// before `limit`; otherwise leave the queue untouched and move the
+    /// clock no further than `limit`, so a push at `limit` stays legal.
+    #[inline]
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<Scheduled> {
         loop {
-            if self.level_len[0] > 0 {
-                // Level-0 slots pin full timestamps (invariant 2): the
-                // lowest occupied slot is the global minimum's bucket,
-                // and its FIFO front is the minimum (invariant 1).
-                let slot = first_occupied(&self.occ[0]).expect("level_len/occ out of sync");
-                let bucket = &mut self.buckets[slot];
-                let s = bucket.pop_front().expect("occupied slot with empty bucket");
-                if bucket.is_empty() {
-                    self.occ[0][slot >> 6] &= !(1u64 << (slot & 63));
-                }
-                self.level_len[0] -= 1;
-                self.len -= 1;
-                self.now_ns = s.at.as_nanos();
-                return Some(s);
+            let (lvl, slot, earliest) = self.head()?;
+            if earliest > limit.as_nanos() {
+                return None;
             }
-            self.cascade();
+            if lvl > 0 {
+                self.cascade(lvl, slot, earliest);
+                continue;
+            }
+            // The level-0 head bucket holds exactly the global minimum's
+            // instant (invariant 2); its FIFO front is the minimum
+            // (invariant 1).
+            let bucket = &mut self.buckets[slot];
+            let s = bucket.pop_front().expect("occupied slot with empty bucket");
+            if bucket.is_empty() {
+                self.occ[0][slot >> 6] &= !(1u64 << (slot & 63));
+            }
+            self.level_len[0] -= 1;
+            self.len -= 1;
+            self.now_ns = earliest;
+            return Some(s);
         }
     }
 
     /// The minimum `(at, seq)` entry, without removing it.
     pub fn peek(&self) -> Option<&Scheduled> {
-        // The slot `pop` would drain or cascade next — the lowest occupied
-        // slot of the lowest occupied level — holds the global minimum.
-        // Overflow buckets are FIFO, not sorted: take their minimum.
-        let lvl = (0..WHEEL_LEVELS).find(|&l| self.level_len[l] > 0)?;
-        let slot = first_occupied(&self.occ[lvl])?;
+        // Overflow buckets are FIFO, not sorted: take the head slot's
+        // minimum.
+        let (lvl, slot, _) = self.head()?;
         self.buckets[(lvl << SLOT_BITS) | slot].iter().min()
-    }
-
-    /// Put back an event just obtained from [`TimingWheel::pop`], restoring
-    /// it to the head of the queue. Precondition: `s` was the most recent
-    /// pop and nothing was pushed or popped since — i.e. `s` is still ≤
-    /// every live entry. (The run loops use this for not-yet-due events.)
-    #[inline]
-    pub fn requeue(&mut self, s: Scheduled) {
-        // `s` was the most recent pop, so it is ≤ every live entry:
-        // front-pushed into its bucket it becomes the head again, even
-        // when the bucket already holds equal-`at`, later-seq events.
-        let at = s.at.as_nanos();
-        if at < self.now_ns {
-            self.rebase(at);
-        }
-        let lvl = level_of(at, self.now_ns);
-        let slot = ((at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.buckets[(lvl << SLOT_BITS) | slot].push_front(s);
-        self.occ[lvl][slot >> 6] |= 1u64 << (slot & 63);
-        self.level_len[lvl] += 1;
-        self.len += 1;
     }
 
     /// Live entry count.
@@ -441,46 +421,27 @@ mod tests {
     }
 
     #[test]
-    fn requeue_restores_the_head_before_equal_timestamp_events() {
-        let mut s = TimingWheel::default();
-        s.push(sch(42, 1));
-        s.push(sch(42, 2));
-        s.push(sch(42, 3));
-        let head = s.pop().unwrap();
-        assert_eq!(head.seq, 1);
-        s.requeue(head);
-        assert_eq!(
-            drain(&mut s),
-            vec![(42, 1), (42, 2), (42, 3)],
-            "requeue must restore the head"
-        );
+    fn bounded_pop_leaves_undue_events_and_the_clock_alone() {
+        let mut w = TimingWheel::default();
+        w.push(sch(1_000_000, 1));
+        assert!(w.pop_until(SimTime::from_nanos(999_999)).is_none());
+        assert_eq!(w.len(), 1, "an undue event stays queued");
+        // The clock stopped at or before the limit: work may still be
+        // scheduled anywhere from the limit on, and pops first.
+        w.push(sch(999_999, 2));
+        w.push(sch(1_000_000, 3));
+        let due = w.pop_until(SimTime::from_nanos(1_000_000)).unwrap();
+        assert_eq!((due.at.as_nanos(), due.seq), (999_999, 2));
+        assert_eq!(drain(&mut w), vec![(1_000_000, 1), (1_000_000, 3)]);
     }
 
     #[test]
-    fn push_below_the_wheel_clock_rebases_and_stays_ordered() {
-        // The deadline-requeue aftermath: a pop advanced the wheel clock,
-        // then new work arrives below it.
+    #[should_panic(expected = "below the wheel clock")]
+    fn push_below_the_wheel_clock_is_rejected() {
         let mut w = TimingWheel::default();
         w.push(sch(5000, 1));
         assert_eq!(w.pop().unwrap().at.as_nanos(), 5000);
-        w.push(sch(4800, 2)); // below the clock → rebase
-        w.push(sch(5100, 3));
-        w.push(sch(4800, 4));
-        assert!(w.stats().rebases >= 1);
-        assert_eq!(drain(&mut w), vec![(4800, 2), (4800, 4), (5100, 3)]);
-    }
-
-    #[test]
-    fn requeue_below_the_wheel_clock_rebases() {
-        // run_until deadline flow at wheel level: pop a far event (clock
-        // jumps there), requeue it, then push near-term work that the
-        // next run_until call must see first.
-        let mut w = TimingWheel::default();
-        w.push(sch(1_000_000, 1));
-        let far = w.pop().unwrap();
-        w.requeue(far);
-        w.push(sch(600_000, 2));
-        assert_eq!(drain(&mut w), vec![(600_000, 2), (1_000_000, 1)]);
+        w.push(sch(4800, 2));
     }
 
     #[test]
@@ -502,28 +463,33 @@ mod tests {
     }
 
     // Always-on differential proptest: the wheel against the reference
-    // model, `BinaryHeap<Reverse<Scheduled>>`, over random event streams
-    // (pushes with clustered timestamps, pops, and head requeues — the
-    // full kernel op set).
+    // model, `BinaryHeap<Reverse<Scheduled>>`, over random event streams —
+    // pushes at or after the last pop or bounded-pop limit (the kernel's
+    // contract), unbounded pops and bounded pops, the full kernel op set.
     proptest! {
         #[test]
         fn differential_heap_vs_wheel(ops in proptest::collection::vec(
-            (0u8..10, 0u64..5, 0u64..64), 1..400)
+            (0u8..10, 0u64..9, 0u64..64), 1..400)
         ) {
             let mut heap = BinaryHeap::new();
             let mut wheel = TimingWheel::default();
             let mut seq = 0u64;
+            // The kernel's clock: the latest pop or bounded-pop limit.
             let mut clock = 0u64;
+            // Offsets cluster near the clock (collisions at one instant
+            // are common by construction) and reach every wheel level via
+            // the scale factor; scale 8 is the `u64::MAX` sentinel.
+            let ahead = |clock: u64, scale: u64, delta: u64| match scale {
+                8 => u64::MAX,
+                _ => clock.saturating_add(delta * 257u64.pow(scale as u32)),
+            };
             for (op, scale, delta) in ops {
                 if op < 6 {
-                    // Push: timestamps cluster near the clock but reach
-                    // far-future levels via the scale factor (collisions
-                    // at identical instants are common by construction).
                     seq += 1;
-                    let at = clock + delta * 257u64.pow(scale as u32);
+                    let at = ahead(clock, scale, delta);
                     heap.push(Reverse(sch(at, seq)));
                     wheel.push(sch(at, seq));
-                } else if op < 9 {
+                } else if op < 8 {
                     // Pop from both; results must agree exactly.
                     let a = heap.pop().map(|Reverse(s)| (s.at.as_nanos(), s.seq));
                     let b = wheel.pop().map(|s| (s.at.as_nanos(), s.seq));
@@ -532,14 +498,19 @@ mod tests {
                         clock = at;
                     }
                 } else {
-                    // Pop-and-requeue the head in both (the run-loop
-                    // deadline pattern); clock intentionally NOT advanced,
-                    // so later pushes can land below the wheel clock and
-                    // exercise the rebase path.
-                    if let (Some(a), Some(b)) = (heap.pop(), wheel.pop()) {
-                        prop_assert_eq!((a.0.at, a.0.seq), (b.at, b.seq));
-                        heap.push(a);
-                        wheel.requeue(b);
+                    // Bounded pop: the head comes off only if due by the
+                    // limit. Either way the clock moves to the limit at
+                    // most, so a push at the limit must be accepted.
+                    let limit = ahead(clock, scale, delta);
+                    let due = heap.peek().is_some_and(|r| r.0.at.as_nanos() <= limit);
+                    let a = if due { heap.pop().map(|Reverse(s)| (s.at.as_nanos(), s.seq)) } else { None };
+                    let b = wheel.pop_until(SimTime::from_nanos(limit)).map(|s| (s.at.as_nanos(), s.seq));
+                    prop_assert_eq!(a, b, "bounded pop diverged");
+                    clock = a.map_or(limit, |(at, _)| at);
+                    if a.is_none() {
+                        seq += 1;
+                        heap.push(Reverse(sch(limit, seq)));
+                        wheel.push(sch(limit, seq));
                     }
                 }
                 prop_assert_eq!(heap.len(), wheel.len());

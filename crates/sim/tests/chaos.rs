@@ -69,16 +69,18 @@ fn summarize(sim: &Sim) -> RunSummary {
 fn faulted_run(seed: u64, loss: f64, corrupt: f64, flap_at_us: u64) -> RunSummary {
     let (topo, srcs, dst) = dumbbell(4, 10);
     let flap_link = topo.out_link(srcs[0], PortId(0));
-    let mut cfg = SimConfig::default();
-    cfg.seed = seed;
-    cfg.fault_plan = FaultPlan::default()
-        .with_loss(FaultTarget::Data, loss)
-        .with_corruption(FaultTarget::All, corrupt)
-        .with_flap(
-            flap_link,
-            SimTime::from_micros(flap_at_us),
-            SimTime::from_micros(flap_at_us + 300),
-        );
+    let cfg = SimConfig {
+        seed,
+        fault_plan: FaultPlan::default()
+            .with_loss(FaultTarget::Data, loss)
+            .with_corruption(FaultTarget::All, corrupt)
+            .with_flap(
+                flap_link,
+                SimTime::from_micros(flap_at_us),
+                SimTime::from_micros(flap_at_us + 300),
+            ),
+        ..SimConfig::default()
+    };
     let mut sim = rocc_sim_with(topo, cfg);
     for (i, &s) in srcs.iter().enumerate() {
         sim.add_flow(FlowSpec {
@@ -128,11 +130,13 @@ proptest! {
 
 fn dup_reorder_run(seed: u64, dup: f64, reorder: f64) -> RunSummary {
     let (topo, srcs, dst) = dumbbell(4, 10);
-    let mut cfg = SimConfig::default();
-    cfg.seed = seed;
-    cfg.fault_plan = FaultPlan::default()
-        .with_duplication(FaultTarget::Data, dup)
-        .with_reorder(FaultTarget::All, reorder, SimDuration::from_micros(5));
+    let cfg = SimConfig {
+        seed,
+        fault_plan: FaultPlan::default()
+            .with_duplication(FaultTarget::Data, dup)
+            .with_reorder(FaultTarget::All, reorder, SimDuration::from_micros(5)),
+        ..SimConfig::default()
+    };
     let mut sim = rocc_sim_with(topo, cfg);
     for (i, &s) in srcs.iter().enumerate() {
         sim.add_flow(FlowSpec {
@@ -204,8 +208,7 @@ fn all_flows_complete_despite_loss_and_flap() {
 fn inert_fault_plans_leave_runs_bit_identical() {
     let run = |plan: FaultPlan| {
         let (topo, srcs, dst) = dumbbell(3, 10);
-        let mut cfg = SimConfig::default();
-        cfg.fault_plan = plan;
+        let cfg = SimConfig { fault_plan: plan, ..SimConfig::default() };
         let mut sim = rocc_sim_with(topo, cfg);
         for (i, &s) in srcs.iter().enumerate() {
             sim.add_flow(FlowSpec {
@@ -241,9 +244,15 @@ fn rocc_recovers_line_rate_after_total_cnp_blackout() {
     let horizon = SimTime::from_millis(14);
     let (topo, srcs, dst) = dumbbell(2, 40);
     let line = BitRate::from_gbps(40);
-    let mut cfg = SimConfig::default();
-    cfg.fault_plan =
-        FaultPlan::default().with_loss_window(FaultTarget::Cnp, 1.0, blackout, SimTime::MAX);
+    let cfg = SimConfig {
+        fault_plan: FaultPlan::default().with_loss_window(
+            FaultTarget::Cnp,
+            1.0,
+            blackout,
+            SimTime::MAX,
+        ),
+        ..SimConfig::default()
+    };
     let mut sim = rocc_sim_with(topo, cfg);
     for (i, &s) in srcs.iter().enumerate() {
         sim.add_flow(FlowSpec {
@@ -348,12 +357,14 @@ proptest! {
 #[test]
 fn flows_survive_host_crash_and_restart() {
     let (topo, srcs, dst) = dumbbell(2, 10);
-    let mut cfg = SimConfig::default();
-    cfg.fault_plan = FaultPlan::default().with_host_crash(
-        srcs[0],
-        SimTime::from_micros(400),
-        SimTime::from_micros(900),
-    );
+    let cfg = SimConfig {
+        fault_plan: FaultPlan::default().with_host_crash(
+            srcs[0],
+            SimTime::from_micros(400),
+            SimTime::from_micros(900),
+        ),
+        ..SimConfig::default()
+    };
     let mut sim = rocc_sim_with(topo, cfg);
     for (i, &s) in srcs.iter().enumerate() {
         sim.add_flow(FlowSpec {

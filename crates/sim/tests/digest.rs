@@ -137,7 +137,7 @@ fn run_loop_ledger_tolerates_a_torn_tail() {
 #[test]
 fn state_digest_is_the_hash_of_the_snapshot_sections() {
     let mut sim = build_chaos(7);
-    while sim.events_processed() < 5_000 && sim.step() {}
+    sim.run_until_event(5_000);
     let bytes = sim.snapshot();
     let (_, sections) = snapshot::sections(&bytes).expect("own snapshot parses");
     let hashed: Vec<(String, u64)> = sections
@@ -172,7 +172,7 @@ proptest! {
         let seed = [1u64, 7, 42][seed_idx];
         let k = (frac * 20_000.0) as u64;
         let mut sim = build_chaos(seed);
-        while sim.events_processed() < k && sim.step() {}
+        sim.run_until_event(k);
 
         let before_bytes = sim.snapshot();
         let before = sim.state_digest();

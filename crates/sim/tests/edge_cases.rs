@@ -26,8 +26,7 @@ fn dumbbell(n: usize, gbps: u64) -> (Topology, Vec<NodeId>, NodeId, NodeId, Port
 #[test]
 fn unlimited_buffer_never_pauses_or_drops() {
     let (topo, srcs, dst, _, _) = dumbbell(8, 10);
-    let mut cfg = SimConfig::default();
-    cfg.buffer_mode = BufferMode::Unlimited;
+    let cfg = SimConfig { buffer_mode: BufferMode::Unlimited, ..SimConfig::default() };
     let mut sim = Sim::new(
         topo,
         cfg,
@@ -129,9 +128,10 @@ fn tiny_window_cannot_deadlock() {
     assert!(fct.as_nanos() > 50 * 4_000, "FCT {fct} too fast for stop-and-wait");
 }
 
-/// Host CC that counts how often its timer fires, re-arming each time,
-/// and cancels after 3 fires.
+/// Host CC that counts how often its timer `token` fires, re-arming each
+/// time, and cancels after 3 fires.
 struct CountingTimerCc {
+    token: u8,
     fires: Arc<AtomicU64>,
     armed: bool,
 }
@@ -144,39 +144,41 @@ impl HostCc for CountingTimerCc {
     fn on_ack(&mut self, ctx: &mut HostCcCtx, _ack: AckEvent) {
         if !self.armed {
             self.armed = true;
-            ctx.set_timer(0, SimDuration::from_micros(50));
+            ctx.set_timer(self.token, SimDuration::from_micros(50));
         }
     }
 
     fn on_timer(&mut self, ctx: &mut HostCcCtx, token: u8) {
-        assert_eq!(token, 0);
+        assert_eq!(token, self.token);
         let n = self.fires.fetch_add(1, Ordering::Relaxed) + 1;
         if n < 3 {
-            ctx.set_timer(0, SimDuration::from_micros(50));
+            ctx.set_timer(token, SimDuration::from_micros(50));
         }
         // After 3 fires: not re-armed → no further events.
     }
 }
 
-struct CountingTimerFactory(Arc<AtomicU64>);
+struct CountingTimerFactory(u8, Arc<AtomicU64>);
 
 impl HostCcFactory for CountingTimerFactory {
     fn make(&self, _f: FlowId, _r: BitRate) -> Box<dyn HostCc> {
         Box::new(CountingTimerCc {
-            fires: self.0.clone(),
+            token: self.0,
+            fires: self.1.clone(),
             armed: false,
         })
     }
 }
 
-#[test]
-fn cc_timers_fire_rearm_and_stop() {
+/// 5 ms of a 1 Gb/s flow under [`CountingTimerCc`] on `token`; returns
+/// how often the timer fired.
+fn timer_fires(token: u8) -> u64 {
     let fires = Arc::new(AtomicU64::new(0));
     let (topo, srcs, dst, _, _) = dumbbell(1, 40);
     let mut sim = Sim::new(
         topo,
         SimConfig::default(),
-        Box::new(CountingTimerFactory(fires.clone())),
+        Box::new(CountingTimerFactory(token, fires.clone())),
         Box::new(NullSwitchCcFactory),
     );
     sim.add_flow(FlowSpec {
@@ -188,11 +190,21 @@ fn cc_timers_fire_rearm_and_stop() {
         offered: Some(BitRate::from_gbps(1)),
     });
     sim.run_until(SimTime::from_millis(5));
-    assert_eq!(
-        fires.load(Ordering::Relaxed),
-        3,
-        "timer must fire exactly 3 times (armed once, re-armed twice)"
-    );
+    fires.load(Ordering::Relaxed)
+}
+
+#[test]
+fn cc_timers_fire_rearm_and_stop() {
+    for token in 0..rocc_sim::host::TIMER_SLOTS as u8 {
+        assert_eq!(timer_fires(token), 3, "token {token}: armed once, re-armed twice");
+    }
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn out_of_range_cc_timer_token_panics_instead_of_aliasing() {
+    // Token 3 used to alias the transport's RTO event.
+    timer_fires(rocc_sim::host::RTO_TOKEN);
 }
 
 #[test]
@@ -240,8 +252,10 @@ fn tail_loss_recovers_via_rto() {
     // of the flow can be dropped with no later packet to trigger a NACK —
     // only the RTO can recover. Completion proves the timeout path works.
     let (topo, srcs, dst, _, _) = dumbbell(4, 10);
-    let mut cfg = SimConfig::default();
-    cfg.buffer_mode = BufferMode::LossyTailDrop { limit_bytes: 8_000 };
+    let cfg = SimConfig {
+        buffer_mode: BufferMode::LossyTailDrop { limit_bytes: 8_000 },
+        ..SimConfig::default()
+    };
     let mut sim = Sim::new(
         topo,
         cfg,

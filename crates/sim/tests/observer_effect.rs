@@ -50,7 +50,7 @@ fn summarize(sim: &Sim) -> RunSummary {
         unroutable: sim.trace.unroutable_drops,
         retx: sim.trace.retx_bytes,
         ctrl_emitted: sim.trace.ctrl_emitted,
-        faults: sim.trace.faults.clone(),
+        faults: sim.trace.faults,
     }
 }
 
@@ -523,7 +523,7 @@ fn taking_a_snapshot_does_not_perturb_the_run() {
             });
         }
         if let Some(k) = pause_at {
-            while sim.events_processed() < k && sim.step() {}
+            sim.run_until_event(k);
             let bytes = sim.snapshot();
             assert!(!bytes.is_empty());
         }

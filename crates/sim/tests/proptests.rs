@@ -51,8 +51,8 @@ proptest! {
     }
 }
 
-/// Random fan-in topologies: every host can route to every other host, and
-/// the route's first hop is always a real neighbor one step closer.
+// Random fan-in topologies: every host can route to every other host, and
+// the route's first hop is always a real neighbor one step closer.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
@@ -106,8 +106,8 @@ proptest! {
     }
 }
 
-/// Arbitrary flow mixes on a dumbbell complete losslessly, conserve bytes,
-/// and never drop packets under PFC.
+// Arbitrary flow mixes on a dumbbell complete losslessly, conserve bytes,
+// and never drop packets under PFC.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -175,9 +175,11 @@ proptest! {
             b.connect(h, sw, BitRate::from_gbps(10), SimDuration::from_micros(1));
             srcs.push(h);
         }
-        let mut cfg = SimConfig::default();
-        cfg.buffer_mode = BufferMode::LossyTailDrop {
-            limit_bytes: limit_kb * 1000,
+        let cfg = SimConfig {
+            buffer_mode: BufferMode::LossyTailDrop {
+                limit_bytes: limit_kb * 1000,
+            },
+            ..SimConfig::default()
         };
         let mut sim = Sim::new(
             b.build(),

@@ -44,14 +44,15 @@ fn pfc_ring(n: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
 }
 
 fn deadlock_prone_config() -> SimConfig {
-    let mut cfg = SimConfig::default();
-    // Small PFC headroom makes the cyclic dependency form fast.
-    cfg.pfc = PfcConfig {
-        xoff_40g: kb(20),
-        xoff_100g: kb(20),
-        resume_frac: 0.1,
-    };
-    cfg
+    SimConfig {
+        // Small PFC headroom makes the cyclic dependency form fast.
+        pfc: PfcConfig {
+            xoff_40g: kb(20),
+            xoff_100g: kb(20),
+            resume_frac: 0.1,
+        },
+        ..SimConfig::default()
+    }
 }
 
 fn add_ring_flows(sim: &mut Sim, hosts: &[NodeId]) {
@@ -148,11 +149,13 @@ fn innocent_flow_behind_a_paused_trunk_is_attributed_as_victim() {
     b.connect(bb, r1, BitRate::from_gbps(10), SimDuration::from_micros(1));
     b.connect(bb, r2, BitRate::from_gbps(10), SimDuration::from_micros(1));
 
-    let mut cfg = SimConfig::default();
-    cfg.pfc = PfcConfig {
-        xoff_40g: kb(30),
-        xoff_100g: kb(30),
-        resume_frac: 0.5,
+    let cfg = SimConfig {
+        pfc: PfcConfig {
+            xoff_40g: kb(30),
+            xoff_100g: kb(30),
+            resume_frac: 0.5,
+        },
+        ..SimConfig::default()
     };
     let mut sim = null_sim(b.build(), cfg);
     // Pause windows are tens of microseconds; audit fast enough to see them.

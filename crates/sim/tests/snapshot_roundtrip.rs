@@ -60,7 +60,7 @@ fn reference(seed: u64) -> (Fingerprint, u64) {
 /// sim, run to completion; return its fingerprint and the snapshot.
 fn roundtrip(seed: u64, k: u64) -> (Fingerprint, Vec<u8>) {
     let mut donor = build_chaos(seed);
-    while donor.events_processed() < k && donor.step() {}
+    donor.run_until_event(k);
     let bytes = donor.snapshot();
 
     let mut resumed = build_chaos(seed);
@@ -143,7 +143,7 @@ fn restore_with_an_rto_deadline_ahead_of_its_queued_event_is_bit_identical() {
 #[test]
 fn restore_rejects_mismatched_seed() {
     let mut donor = build_chaos(7);
-    while donor.events_processed() < 1000 && donor.step() {}
+    donor.run_until_event(1000);
     let bytes = donor.snapshot();
     let mut other = build_chaos(42);
     match other.restore(&bytes) {
@@ -165,7 +165,7 @@ fn measure_checkpoint_costs() {
     let (_, total) = reference(7);
     // One-shot save/restore latency and size at the run's midpoint.
     let mut donor = build_chaos(7);
-    while donor.events_processed() < total / 2 && donor.step() {}
+    donor.run_until_event(total / 2);
     let t0 = std::time::Instant::now();
     let bytes = donor.snapshot();
     let save_us = t0.elapsed().as_micros();
@@ -214,7 +214,7 @@ fn measure_checkpoint_costs() {
 #[test]
 fn restore_rejects_corrupt_container() {
     let mut donor = build_chaos(7);
-    while donor.events_processed() < 1000 && donor.step() {}
+    donor.run_until_event(1000);
     let bytes = donor.snapshot();
     let mut rng_state = 0x9e37_79b9u64;
     for _ in 0..32 {
@@ -262,7 +262,7 @@ fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) ->
 #[test]
 fn restore_rejects_v1_files_and_mismatched_section_tables() {
     let mut donor = build_chaos(7);
-    while donor.events_processed() < 1000 && donor.step() {}
+    donor.run_until_event(1000);
     let bytes = donor.snapshot();
     let (info, sections) = snapshot::sections(&bytes).expect("own snapshot parses");
     assert_eq!(reframe(&info, &sections), bytes, "hand framer disagrees with the crate's");
