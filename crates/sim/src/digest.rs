@@ -69,6 +69,12 @@ pub struct ComponentDigests {
 }
 
 impl ComponentDigests {
+    /// One FNV-1a-64 digest per serialized section.
+    pub(crate) fn of(sections: &crate::snapshot::Sections) -> Self {
+        let entries = sections.iter().map(|(n, b)| (n.to_string(), fnv1a_64(b)));
+        ComponentDigests { entries: entries.collect() }
+    }
+
     /// Build from pre-computed `(name, digest)` pairs (ledger parsing).
     pub fn from_entries(entries: Vec<(String, u64)>) -> Self {
         ComponentDigests { entries }
@@ -138,9 +144,7 @@ impl Sim {
     /// Equal full-state snapshots therefore have equal digests; a digest
     /// mismatch names the first subsystem whose state diverged.
     pub fn state_digest(&self) -> ComponentDigests {
-        let sections = self.sections();
-        let entries = sections.iter().map(|(n, b)| (n.to_string(), fnv1a_64(b)));
-        ComponentDigests { entries: entries.collect() }
+        ComponentDigests::of(&self.sections())
     }
 }
 

@@ -18,7 +18,7 @@ use crate::host::{Host, RTO_TOKEN};
 use crate::packet::{FlowId, PacketKind};
 use crate::profiler::{Phase, PhaseProfiler, ProfileContext};
 use crate::sanitizer::{
-    scan_pause_graph, AuditView, RunVerdict, SanLedger, Sanitizer, SimError,
+    scan_pause_graph, AuditScope, AuditView, RunVerdict, SanLedger, Sanitizer, SimError,
     DEFAULT_AUDIT_PERIOD,
 };
 use crate::sched::{Scheduled, TimingWheel};
@@ -285,9 +285,10 @@ pub struct FlowMeta {
     pub offered: Option<BitRate>,
 }
 
-// One slot per node for the whole run; the size gap is irrelevant.
+/// One slot per node for the whole run, indexed by [`NodeId`]; the size gap
+/// is irrelevant.
 #[allow(clippy::large_enum_variant)]
-enum NodeSlot {
+pub(crate) enum NodeSlot {
     Host(Host),
     Switch(Switch),
 }
@@ -344,22 +345,19 @@ enum Halt {
 
 /// What the sanitizer audits and the pause-graph scan walks (a free
 /// function, so `Sim`'s other fields can be borrowed mutably beside it).
-fn audit_view<'a>(kernel: &'a Kernel, topo: &'a Topology, nodes: &'a [NodeSlot]) -> AuditView<'a> {
-    let mut hosts = Vec::new();
-    let mut switches = Vec::new();
-    for n in nodes {
-        match n {
-            NodeSlot::Host(h) => hosts.push(h),
-            NodeSlot::Switch(s) => switches.push(s),
-        }
-    }
+fn audit_view<'a>(
+    kernel: &'a Kernel,
+    topo: &'a Topology,
+    nodes: &'a [NodeSlot],
+    flow_dir: &'a FxHashMap<FlowId, FlowMeta>,
+) -> AuditView<'a> {
     AuditView {
         now: kernel.now,
         config: &kernel.config,
         topo,
         faults: &kernel.faults,
-        hosts,
-        switches,
+        nodes,
+        flow_dir,
         ledger: &kernel.san,
         packets: &kernel.packets,
         sched: &kernel.sched,
@@ -495,6 +493,11 @@ impl Sim {
         &self.sanitizer
     }
 
+    #[cfg(test)]
+    pub(crate) fn sanitizer_mut(&mut self) -> &mut Sanitizer {
+        &mut self.sanitizer
+    }
+
     /// The topology under simulation.
     pub fn topo(&self) -> &Topology {
         &self.topo
@@ -618,6 +621,14 @@ impl Sim {
     /// Host accessor (sampling, assertions in tests).
     pub fn host(&self, id: NodeId) -> &Host {
         match &self.nodes[id.0] {
+            NodeSlot::Host(h) => h,
+            NodeSlot::Switch(_) => panic!("{id:?} is a switch, not a host"),
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn host_mut(&mut self, id: NodeId) -> &mut Host {
+        match &mut self.nodes[id.0] {
             NodeSlot::Host(h) => h,
             NodeSlot::Switch(_) => panic!("{id:?} is a switch, not a host"),
         }
@@ -775,7 +786,8 @@ impl Sim {
     /// its one `events_processed >= probe_at` compare. For the event just
     /// dispatched, in this order: publish past-due schedule clamps, audit
     /// if the sanitizer says one is due, auto-checkpoint and record a
-    /// digest-ledger row on their strides. Then set `probe_at` to the next
+    /// digest-ledger row on their strides (from one serialization when both
+    /// land on this event). Then set `probe_at` to the next
     /// event count with work for it and vet the next event ([`Sim::gate`]).
     #[cold]
     fn probe(&mut self, stop: &Stop, started: std::time::Instant) -> Option<Halt> {
@@ -794,12 +806,11 @@ impl Sim {
             // Only a run toward flow completion aborts on a violation;
             // open-ended ones have no completion criterion to abort
             // toward and keep recording violations and pause metrics.
-            if let (Some(e), true) = (self.run_audit(), stop.flows) {
+            if let (Some(e), true) = (self.run_audit(AuditScope::Live), stop.flows) {
                 return Some(Halt::Failed(e));
             }
         }
-        self.auto_checkpoint();
-        self.record_state_digest();
+        self.checkpoint_and_digest();
         self.kernel.probe_at = self.next_probe();
         self.gate(stop, started)
     }
@@ -890,8 +901,9 @@ impl Sim {
             Halt::Drained => Some(self.stall_error(true)),
             Halt::Deadline => Some(self.stall_error(false)),
             // One final audit at end-of-run so a violation in the closing
-            // events cannot slip out unchecked.
-            Halt::Reached if self.sanitizer.is_enabled() => self.run_audit(),
+            // events cannot slip out unchecked — and a sweep, so neither
+            // can damage to a flow the periodic audits had retired.
+            Halt::Reached if self.sanitizer.is_enabled() => self.run_audit(AuditScope::Sweep),
             Halt::Reached => None,
         };
         let verdict = failure.map_or(RunVerdict::Completed { flows: self.finite_flows }, RunVerdict::Failed);
@@ -905,11 +917,12 @@ impl Sim {
     /// needs no sanitizer) names a deadlock cycle; else the stall kind.
     fn stall_error(&mut self, drained: bool) -> SimError {
         if self.sanitizer.is_enabled() {
-            if let Some(e @ SimError::InvariantViolation { .. }) = self.run_audit() {
+            if let Some(e @ SimError::InvariantViolation { .. }) = self.run_audit(AuditScope::Sweep) {
                 return e;
             }
         }
-        let report = scan_pause_graph(&audit_view(&self.kernel, &self.topo, &self.nodes));
+        let view = audit_view(&self.kernel, &self.topo, &self.nodes, &self.flow_dir);
+        let report = scan_pause_graph(&view);
         if !report.cycle.is_empty() {
             return SimError::PfcDeadlock {
                 detected_at: self.kernel.now,
@@ -932,10 +945,10 @@ impl Sim {
     }
 
     /// Run one audit now (unconditionally; callers gate on enablement).
-    fn run_audit(&mut self) -> Option<SimError> {
+    pub(crate) fn run_audit(&mut self, scope: AuditScope) -> Option<SimError> {
         self.kernel.prof.enter(Phase::Sanitizer);
-        let view = audit_view(&self.kernel, &self.topo, &self.nodes);
-        self.sanitizer.audit(&view, &mut self.trace)
+        let view = audit_view(&self.kernel, &self.topo, &self.nodes, &self.flow_dir);
+        self.sanitizer.audit(&view, &mut self.trace, scope)
     }
 
     /// Publish the run verdict to telemetry and, on failure, dump its JSON
@@ -977,12 +990,17 @@ impl Sim {
     /// snapshot to its seed and a configuration digest so a restore into
     /// the wrong setup fails loudly instead of diverging silently.
     pub fn snapshot(&self) -> Vec<u8> {
+        self.frame(self.sections())
+    }
+
+    /// Frame `sections` (this sim's, just serialized) as a snapshot.
+    fn frame(&self, sections: snapshot::Sections) -> Vec<u8> {
         snapshot::frame(
             self.kernel.config.seed,
             snapshot::config_digest(&self.kernel.config),
             self.kernel.now.as_nanos(),
             self.events_processed,
-            self.sections(),
+            sections,
         )
     }
 
@@ -1164,15 +1182,30 @@ impl Sim {
         self.checkpoint = None;
     }
 
-    /// Take a checkpoint if the policy's stride divides the event count.
-    fn auto_checkpoint(&mut self) {
+    /// Take a checkpoint and record a digest-ledger row, each if its
+    /// stride divides the event count. Both read the same
+    /// [`Sim::sections`]: when they land on the same event the state is
+    /// serialized once, hashed, then framed.
+    fn checkpoint_and_digest(&mut self) {
         let events = self.events_processed;
-        if !self.checkpoint.as_ref().is_some_and(|p| events.is_multiple_of(p.stride)) {
+        let checkpoint = self.checkpoint.as_ref().is_some_and(|p| events.is_multiple_of(p.stride));
+        let digest = self.digest_ledger.as_ref().is_some_and(|l| events.is_multiple_of(l.stride()));
+        if !(checkpoint || digest) {
             return;
         }
-        let bytes = self.snapshot();
-        if let Some(p) = &mut self.checkpoint {
-            (p.sink)(events, &bytes);
+        let sections = self.sections();
+        if let (true, Some(l)) = (digest, &mut self.digest_ledger) {
+            l.push(crate::digest::DigestLedgerEntry {
+                events,
+                t_ns: self.kernel.now.as_nanos(),
+                digests: crate::digest::ComponentDigests::of(&sections),
+            });
+        }
+        if checkpoint {
+            let bytes = self.frame(sections);
+            if let Some(p) = &mut self.checkpoint {
+                (p.sink)(events, &bytes);
+            }
         }
     }
 
@@ -1229,22 +1262,6 @@ impl Sim {
     /// Detach and return the recorded digest ledger (disables recording).
     pub fn take_digest_ledger(&mut self) -> Option<crate::digest::DigestLedger> {
         self.digest_ledger.take()
-    }
-
-    /// Record a ledger entry if the stride divides the event count.
-    fn record_state_digest(&mut self) {
-        let events = self.events_processed;
-        if !self.digest_ledger.as_ref().is_some_and(|l| events.is_multiple_of(l.stride())) {
-            return;
-        }
-        let entry = crate::digest::DigestLedgerEntry {
-            events,
-            t_ns: self.kernel.now.as_nanos(),
-            digests: self.state_digest(),
-        };
-        if let Some(l) = &mut self.digest_ledger {
-            l.push(entry);
-        }
     }
 
     /// Grace period for retrying events addressed to a host that is
@@ -2403,16 +2420,13 @@ mod tests {
         sim.enable_sanitizer();
         sim.run_until(SimTime::from_micros(3));
         assert!(
-            sim.run_audit().is_none(),
+            sim.run_audit(AuditScope::Live).is_none(),
             "clean mid-flow state must audit clean"
         );
         // Forget the queued event: the next arm would push a second one,
         // and a flow that forgot while none was queued could never time out.
-        let NodeSlot::Host(h) = &mut sim.nodes[h0.0] else {
-            panic!("h0 is a host");
-        };
-        h.rto_event_dropped(FlowId(1));
-        match sim.run_audit() {
+        sim.host_mut(h0).rto_event_dropped(FlowId(1));
+        match sim.run_audit(AuditScope::Live) {
             Some(SimError::InvariantViolation { violations, .. }) => {
                 assert!(
                     violations.iter().any(|v| v.contains("RTO")),

@@ -83,6 +83,11 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A `HashSet` hashed through [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// An empty [`FxHashMap`] with room for `n` entries.
+pub fn map_with_capacity<K, V>(n: usize) -> FxHashMap<K, V> {
+    HashMap::with_capacity_and_hasher(n, Default::default())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,8 @@ use crate::trace::{FctRecord, Trace};
 use crate::units::BitRate;
 use rand::Rng;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// Number of per-flow CC timer slots: CC implementations may use tokens
 /// `0..TIMER_SLOTS`, and asking for any other panics.
@@ -107,6 +108,16 @@ struct ReceiverFlow {
     complete: bool,
 }
 
+impl ReceiverFlow {
+    fn audit(&self, flow: FlowId) -> ReceiverAudit {
+        ReceiverAudit {
+            flow,
+            expected: self.expected,
+            complete: self.complete,
+        }
+    }
+}
+
 /// Read-only snapshot of one sender flow, handed to the invariant
 /// sanitizer (see [`crate::sanitizer`]) for window-ordering and rate-bound
 /// audits.
@@ -114,6 +125,8 @@ struct ReceiverFlow {
 pub struct SenderAudit {
     /// The flow.
     pub flow: FlowId,
+    /// The receiving host.
+    pub dst: NodeId,
     /// Cumulatively acknowledged bytes.
     pub acked: u64,
     /// Next sequence number to transmit.
@@ -130,6 +143,29 @@ pub struct SenderAudit {
     pub rto_deadline: Option<SimTime>,
     /// The flow believes its one RTO event is in the event queue.
     pub rto_queued: bool,
+}
+
+/// Read-only snapshot of one receiver flow, handed to the invariant
+/// sanitizer for the expected-sequence and delivered-bytes audits.
+#[derive(Debug, Clone, Copy)]
+pub struct ReceiverAudit {
+    /// The flow.
+    pub flow: FlowId,
+    /// Next expected in-order sequence number.
+    pub expected: u64,
+    /// The last byte arrived and the flow's completion was recorded.
+    pub complete: bool,
+}
+
+/// The transport words [`Host::corrupt`] can overwrite.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Corrupt {
+    Acked,
+    NextSeq,
+    MaxSent,
+    Size,
+    RecvExpected,
 }
 
 /// An end host (single NIC port).
@@ -152,10 +188,16 @@ pub struct Host {
     ready: VecDeque<FlowId>,
     /// Flows paced into the future, keyed by eligibility time.
     waiting: BinaryHeap<Reverse<(SimTime, FlowId)>>,
-    /// Receiver state, looked up per arriving packet. Fx-hashed: its
-    /// iteration order never escapes (audits go through the sorted
+    /// Receiver state, looked up per arriving packet and kept after the
+    /// flow completes (a late duplicate is still ACKed). Fx-hashed: its
+    /// iteration order never escapes (the audit sweep sorts, see
     /// [`Host::audit_receivers`]).
     recv: FxHashMap<FlowId, ReceiverFlow>,
+    /// The flows in `recv` that have not completed, in flow order: what a
+    /// periodic audit walks. Touched per flow, not per packet (entered by
+    /// the first packet, left at completion); derived from `recv`, so
+    /// rebuilt by [`Host::load_state`] and never serialized.
+    open_recv: BTreeSet<FlowId>,
     /// Earliest pending wake event (dedup so we do not flood the queue).
     wake_at: Option<SimTime>,
 }
@@ -178,6 +220,7 @@ impl Host {
             ready: VecDeque::new(),
             waiting: BinaryHeap::new(),
             recv: FxHashMap::default(),
+            open_recv: BTreeSet::new(),
             wake_at: None,
         }
     }
@@ -209,31 +252,81 @@ impl Host {
         self.paused
     }
 
-    /// Sanitizer view of every sender flow on this host.
-    pub fn audit_senders(&self) -> Vec<SenderAudit> {
-        self.flows
-            .iter()
-            .map(|(fid, f)| SenderAudit {
-                flow: *fid,
-                acked: f.acked,
-                next_seq: f.next_seq,
-                max_sent: f.max_sent,
-                size: f.size,
-                rate: f.cc.decision().rate,
-                bounds: f.cc.rate_bounds(),
-                rto_deadline: f.rto_deadline,
-                rto_queued: f.rto_queued,
-            })
-            .collect()
+    /// Sanitizer view of every sender flow on this host, in flow order.
+    /// Senders leave `flows` when they complete, so this is the live set.
+    pub fn audit_senders(&self) -> impl Iterator<Item = SenderAudit> + '_ {
+        self.flows.iter().map(|(fid, f)| SenderAudit {
+            flow: *fid,
+            dst: f.dst,
+            acked: f.acked,
+            next_seq: f.next_seq,
+            max_sent: f.max_sent,
+            size: f.size,
+            rate: f.cc.decision().rate,
+            bounds: f.cc.rate_bounds(),
+            rto_deadline: f.rto_deadline,
+            rto_queued: f.rto_queued,
+        })
     }
 
-    /// Sanitizer view of every receiver flow on this host:
-    /// `(flow, next expected in-order sequence)`.
-    pub fn audit_receivers(&self) -> Vec<(FlowId, u64)> {
-        let mut v: Vec<(FlowId, u64)> =
-            self.recv.iter().map(|(fid, r)| (*fid, r.expected)).collect();
-        v.sort_unstable_by_key(|(fid, _)| fid.0);
+    /// Sanitizer view of every receiver flow this host has ever seen,
+    /// completed ones included, sorted by flow: the full audit sweep.
+    /// O(every flow received) — periodic audits walk
+    /// [`Host::audit_open_receivers`] instead.
+    pub fn audit_receivers(&self) -> Vec<ReceiverAudit> {
+        let mut v: Vec<ReceiverAudit> =
+            self.recv.iter().map(|(fid, r)| r.audit(*fid)).collect();
+        v.sort_unstable_by_key(|r| r.flow.0);
         v
+    }
+
+    /// Sanitizer view of the receiver flows still open (first packet
+    /// seen, last byte not yet), in flow order.
+    pub fn audit_open_receivers(&self) -> impl Iterator<Item = ReceiverAudit> + '_ {
+        self.open_recv.iter().map(|fid| self.recv[fid].audit(*fid))
+    }
+
+    /// Number of receiver flows still open.
+    pub fn open_receivers(&self) -> usize {
+        self.open_recv.len()
+    }
+
+    /// Sanitizer view of one receiver flow, open or completed.
+    pub fn audit_receiver(&self, flow: FlowId) -> Option<ReceiverAudit> {
+        self.recv.get(&flow).map(|r| r.audit(flow))
+    }
+
+    /// `flow`'s receiver state, created — and entered in the open index —
+    /// by its first packet. Takes the two fields rather than `self` so the
+    /// caller can keep using the rest of the host beside the result.
+    #[inline]
+    fn receiver<'a>(
+        recv: &'a mut FxHashMap<FlowId, ReceiverFlow>,
+        open_recv: &mut BTreeSet<FlowId>,
+        flow: FlowId,
+    ) -> &'a mut ReceiverFlow {
+        match recv.entry(flow) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                open_recv.insert(flow);
+                v.insert(ReceiverFlow::default())
+            }
+        }
+    }
+
+    /// Overwrite one transport word of `flow` on this host: the sanitizer's
+    /// negative tests break one invariant at a time with it.
+    #[cfg(test)]
+    pub(crate) fn corrupt(&mut self, flow: FlowId, field: Corrupt, v: u64) {
+        let (f, r) = (self.flows.get_mut(&flow), self.recv.get_mut(&flow));
+        let word = match field {
+            Corrupt::Acked => f.map(|f| &mut f.acked),
+            Corrupt::NextSeq => f.map(|f| &mut f.next_seq),
+            Corrupt::MaxSent => f.map(|f| &mut f.max_sent),
+            Corrupt::Size => f.map(|f| &mut f.size),
+            Corrupt::RecvExpected => r.map(|r| &mut r.expected),
+        };
+        *word.expect("this host holds no such flow") = v;
     }
 
     /// Install a sender flow and try to start transmitting.
@@ -769,6 +862,7 @@ impl Host {
         }
         let nrecv = r.len()?;
         self.recv.clear();
+        self.open_recv.clear();
         for _ in 0..nrecv {
             let fid = FlowId(r.u64()?);
             let rf = ReceiverFlow {
@@ -776,6 +870,9 @@ impl Host {
                 nack_armed: r.bool()?,
                 complete: r.bool()?,
             };
+            if !rf.complete {
+                self.open_recv.insert(fid);
+            }
             self.recv.insert(fid, rf);
         }
         self.wake_at = match r.u8()? {
@@ -885,7 +982,7 @@ impl Host {
     ) {
         k.prof.enter(Phase::HostCompute);
         if let PacketKind::Data { .. } = pkt.kind {
-            let rf = self.recv.entry(pkt.flow).or_default();
+            let rf = Self::receiver(&mut self.recv, &mut self.open_recv, pkt.flow);
             if !rf.complete && !rf.nack_armed {
                 rf.nack_armed = true;
                 let expected = rf.expected;
@@ -1075,7 +1172,7 @@ impl Host {
         payload: u64,
         last: bool,
     ) {
-        let rf = self.recv.entry(pkt.flow).or_default();
+        let rf = Self::receiver(&mut self.recv, &mut self.open_recv, pkt.flow);
         if rf.complete {
             // Duplicate of an already-finished flow (lossy-mode
             // retransmission overlap): still ACK so the sender finishes.
@@ -1103,6 +1200,7 @@ impl Host {
             trace.note_delivery(pkt.flow, payload);
             if last {
                 rf.complete = true;
+                self.open_recv.remove(&pkt.flow);
                 let meta = flow_dir.get(&pkt.flow);
                 trace.note_fct(FctRecord {
                     flow: pkt.flow,

@@ -301,14 +301,16 @@ impl TimingWheel {
         self.len == 0
     }
 
+    /// Every live entry, in arbitrary order, without allocating (the
+    /// sanitizer's RTO audit walks this once per audit).
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &Event)> {
+        self.buckets.iter().flatten().map(|s| (s.at, s.seq, &s.ev))
+    }
+
     /// Every live entry, in arbitrary order (the snapshot codec sorts by
     /// `(at, seq)` itself).
     pub fn entries(&self) -> Vec<(SimTime, u64, &Event)> {
-        self.buckets
-            .iter()
-            .flatten()
-            .map(|s| (s.at, s.seq, &s.ev))
-            .collect()
+        self.iter().collect()
     }
 
     /// Introspection counters.

@@ -377,6 +377,13 @@ impl Trace {
         self.fcts.push(rec);
     }
 
+    /// Overwrite a flow's delivered-bytes counter (the sanitizer's
+    /// negative tests).
+    #[cfg(test)]
+    pub(crate) fn corrupt_delivered(&mut self, flow: FlowId, bytes: u64) {
+        self.delivered.insert(flow, bytes);
+    }
+
     /// Total delivered bytes for a flow (receiver side).
     pub fn delivered_bytes(&self, flow: FlowId) -> u64 {
         self.delivered.get(&flow).copied().unwrap_or(0)

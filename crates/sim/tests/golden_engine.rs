@@ -127,6 +127,27 @@ fn slab_queue_is_bit_identical_to_seed_engine() {
     }
 }
 
+/// What auditing the golden runs costs, as counts: `(seed, audits, flow
+/// records put through the transport checks)`. Six flows, so a periodic
+/// audit looks at no more than 12 records, and the whole run at what was
+/// live at each audit plus each flow's final check and the end-of-run
+/// sweep — a number that moves only if the audit starts looking at more
+/// (or fewer) flows than are live.
+const AUDIT_WORK: &[(u64, u64, u64)] = &[(1, 369, 2022), (7, 115, 1240), (42, 100, 1140)];
+
+#[test]
+fn audit_work_on_the_golden_runs_is_pinned() {
+    for &(seed, audits, flow_checks) in AUDIT_WORK {
+        let mut sim = common::build_chaos(seed);
+        sim.enable_sanitizer();
+        let verdict = sim.run_until_flows_done(SimTime::from_millis(100));
+        assert!(verdict.is_complete(), "seed {seed}: {verdict:?}");
+        let report = sim.sanitizer().report();
+        assert_eq!((report.audits, report.flow_checks), (audits, flow_checks), "seed {seed}");
+        assert!(report.flow_checks <= 12 * report.audits + 2 * 6, "seed {seed}");
+    }
+}
+
 /// Prints the golden table for the seeds above; used to (re)capture the
 /// constants when a deliberate behavior change lands.
 #[test]

@@ -120,10 +120,8 @@ fn restore_with_an_rto_deadline_ahead_of_its_queued_event_is_bit_identical() {
     let first_event = SimTime::ZERO + probe.kernel.config.rto;
     let deadline_moved = |sim: &Sim| {
         sim.flows().iter().any(|f| {
-            let senders = sim.host(f.src).audit_senders();
-            senders
-                .iter()
-                .any(|s| s.rto_queued && s.rto_deadline > Some(first_event))
+            let mut senders = sim.host(f.src).audit_senders();
+            senders.any(|s| s.rto_queued && s.rto_deadline > Some(first_event))
         })
     };
     while !deadline_moved(&probe) {
