@@ -71,6 +71,11 @@ impl SwitchCc for DcqcnSwitchCc {
         let p = self.red.mark_probability(ctx.qlen_bytes);
         p > 0.0 && ctx.rng.gen::<f64>() < p
     }
+
+    // RED is memoryless: `red` is configuration, no dynamic state.
+    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
+
+    fn restore_state(&mut self, _state: &[u64]) {}
 }
 
 /// Factory for [`DcqcnSwitchCc`] with per-port thresholds from line rate.

@@ -61,6 +61,11 @@ impl SwitchCc for HpccSwitchCc {
             rate: ctx.link_rate,
         })
     }
+
+    // INT stamping reads the port, keeps nothing: no state.
+    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
+
+    fn restore_state(&mut self, _state: &[u64]) {}
 }
 
 /// Factory for [`HpccSwitchCc`].

@@ -21,8 +21,8 @@
 //! fidelity gate CI runs on two seeds of the same config.
 //!
 //! [`golden_check`] re-runs the pinned golden config and compares its
-//! metrics digest against the committed baseline (`golden/observatory.json`),
-//! the same regenerate-on-intentional-change workflow as `BENCH_sim.json`.
+//! metrics digest against the committed baseline (`golden/observatory.json`);
+//! `repro golden write` regenerates it after an intentional change.
 
 use crate::micro;
 use crate::scenarios;

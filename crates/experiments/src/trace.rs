@@ -1,13 +1,11 @@
 //! `repro trace <scenario>`: run one micro scenario with full telemetry
-//! and export three artifacts —
+//! and export two artifacts, both deterministic (byte-identical across
+//! runs of the same scenario and scale) —
 //!
 //! 1. the typed event timeline as JSONL (one [`SimEvent`] per line),
 //! 2. a run summary JSON: per-class event counts, Alg. 1 branch counts,
 //!    Alg. 2 transition counts, and the full metrics registry
-//!    (counters + FCT / queue-depth / CNP-gap histograms),
-//! 3. simulator self-profiling in the `BENCH_sim.json` shape
-//!    (events processed, events/sec, wall-clock per simulated second,
-//!    peak event-queue length).
+//!    (counters + FCT / queue-depth / CNP-gap histograms).
 //!
 //! Two scenarios cover every event class between them:
 //!
@@ -76,10 +74,8 @@ pub struct TraceRun {
     /// `recovery` scenario, whose flows are infinite by design).
     pub completed: usize,
     /// Run summary as one JSON document (counts, decision/transition
-    /// breakdowns, metrics registry, profile).
+    /// breakdowns, metrics registry).
     pub summary_json: String,
-    /// Simulator self-profile in the `BENCH_sim.json` shape.
-    pub bench_json: String,
 }
 
 impl TraceRun {
@@ -113,7 +109,6 @@ fn rp_kind_count(events: &[SimEvent], want: RpTransitionKind) -> u64 {
 /// Assemble a [`TraceRun`] from a finished simulation.
 fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
     let completed = sim.trace.fcts.len();
-    let bench_json = sim.profile().to_json();
     let metrics_json = sim.trace.telemetry.metrics_json();
     let events = std::mem::take(&mut sim.trace.telemetry.events);
     let counts = ClassCounts::tally(&events);
@@ -125,7 +120,7 @@ fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
             "\"cp_decisions\":{{\"md_to_min\":{},\"md_halve\":{},\"pi\":{}}},",
             "\"rp_transitions\":{{\"install\":{},\"rate_update\":{},",
             "\"cp_switch\":{},\"recovery_double\":{},\"uninstall\":{}}},",
-            "\"metrics\":{},\"profile\":{}}}"
+            "\"metrics\":{}}}"
         ),
         scenario,
         flows,
@@ -146,7 +141,6 @@ fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
         rp_kind_count(&events, RpTransitionKind::RecoveryDouble),
         rp_kind_count(&events, RpTransitionKind::Uninstall),
         metrics_json,
-        bench_json,
     );
     TraceRun {
         scenario,
@@ -155,7 +149,6 @@ fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
         flows,
         completed,
         summary_json,
-        bench_json,
     }
 }
 
@@ -273,8 +266,7 @@ mod tests {
     }
 
     /// The acceptance criterion: the micro trace carries at least one
-    /// event of every class the issue names, plus histograms and a
-    /// self-profile.
+    /// event of every class the issue names, plus histograms.
     #[test]
     fn incast_covers_every_event_class() {
         let r = incast(Scale::Quick);
@@ -288,8 +280,6 @@ mod tests {
         // Timeline and summary are structurally sound.
         assert_eq!(r.timeline_jsonl().lines().count(), r.events.len());
         braces_balanced(&r.summary_json);
-        braces_balanced(&r.bench_json);
-        assert!(r.bench_json.contains("\"events_per_sec\":"));
         assert!(r.summary_json.contains("\"histograms\":"));
     }
 
@@ -355,6 +345,17 @@ mod tests {
                     ))
         });
         assert!(!post_feedback, "no CNP can be accepted during a blackout");
+    }
+
+    /// Both artifacts are pure functions of (scenario, scale): no
+    /// wall-clock field may leak into the summary.
+    #[test]
+    fn summaries_are_deterministic() {
+        for s in SCENARIOS {
+            let (a, b) = (run(s, Scale::Quick).unwrap(), run(s, Scale::Quick).unwrap());
+            assert_eq!(a.summary_json, b.summary_json, "{s}: summary differs");
+            assert_eq!(a.timeline_jsonl(), b.timeline_jsonl(), "{s}: timeline differs");
+        }
     }
 
     #[test]

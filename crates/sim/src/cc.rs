@@ -104,23 +104,28 @@ pub trait SwitchCc {
     }
 
     /// Serialize the controller's dynamic state as a flat word stream
-    /// (floats via `to_bits`), for engine checkpoints. Stateless schemes
-    /// keep the default no-op. Must be the exact inverse of
+    /// (floats via `to_bits`), for engine checkpoints; a stateless one
+    /// says so in an empty body. Must be the exact inverse of
     /// [`SwitchCc::restore_state`]: restoring the words into a freshly
     /// constructed controller must reproduce bit-identical behavior.
-    fn snapshot_state(&self, out: &mut Vec<u64>) {}
+    fn snapshot_state(&self, out: &mut Vec<u64>);
 
     /// Overwrite the controller's dynamic state from a word stream produced
     /// by [`SwitchCc::snapshot_state`] on an identically configured
     /// controller.
-    fn restore_state(&mut self, state: &[u64]) {}
+    fn restore_state(&mut self, state: &[u64]);
 }
 
 /// A [`SwitchCc`] that does nothing (plain drop-tail/PFC switch).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSwitchCc;
 
-impl SwitchCc for NullSwitchCc {}
+impl SwitchCc for NullSwitchCc {
+    // No state at all.
+    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
+
+    fn restore_state(&mut self, _state: &[u64]) {}
+}
 
 /// Creates a [`SwitchCc`] per congestion point.
 pub trait SwitchCcFactory {
@@ -270,16 +275,16 @@ pub trait HostCc {
     }
 
     /// Serialize the controller's dynamic state as a flat word stream
-    /// (floats via `to_bits`), for engine checkpoints. Stateless schemes
-    /// keep the default no-op. Must be the exact inverse of
+    /// (floats via `to_bits`), for engine checkpoints; a stateless one
+    /// says so in an empty body. Must be the exact inverse of
     /// [`HostCc::restore_state`]: restoring the words into a freshly
     /// constructed controller must reproduce bit-identical behavior.
-    fn snapshot_state(&self, out: &mut Vec<u64>) {}
+    fn snapshot_state(&self, out: &mut Vec<u64>);
 
     /// Overwrite the controller's dynamic state from a word stream produced
     /// by [`HostCc::snapshot_state`] on an identically configured
     /// controller.
-    fn restore_state(&mut self, state: &[u64]) {}
+    fn restore_state(&mut self, state: &[u64]);
 }
 
 /// A [`HostCc`] that always sends at line rate (no congestion control).
@@ -299,6 +304,11 @@ impl HostCc for NullHostCc {
     fn decision(&self) -> RateDecision {
         RateDecision::line_rate(self.rate)
     }
+
+    // `rate` is configuration, fixed at construction: no dynamic state.
+    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
+
+    fn restore_state(&mut self, _state: &[u64]) {}
 }
 
 /// Creates a [`HostCc`] per flow.

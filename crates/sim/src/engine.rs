@@ -514,17 +514,16 @@ impl Sim {
         &self.flows
     }
 
-    /// Self-profiling summary: events processed, events/sec, peak
-    /// event-queue length, wall-clock per simulated second. Wall time is
-    /// accumulated across all run calls; it reads the host clock only at
-    /// run-loop entry/exit, so it cannot perturb simulated state. The window starts at construction or at
-    /// the last [`Sim::reset_profile`], whichever is later — resetting
-    /// after a warm-up loop keeps warm-up out of every rate in the
-    /// summary.
+    /// Self-profiling summary: events processed, wall-clock and simulated
+    /// seconds, events/sec. Wall time is accumulated across all run
+    /// calls; it reads the host clock only at run-loop entry/exit, so it
+    /// cannot perturb simulated state. The window starts at construction
+    /// or at the last [`Sim::reset_profile`], whichever is later —
+    /// resetting after a warm-up loop keeps warm-up out of every rate in
+    /// the summary.
     pub fn profile(&self) -> SimProfile {
         SimProfile {
             events_processed: self.events_processed - self.profile_base_events,
-            peak_event_queue: self.kernel.peak_pending(),
             wall_seconds: self.wall.as_secs_f64(),
             sim_seconds: (self.kernel.now.as_nanos() - self.profile_base_sim_ns) as f64 / 1e9,
         }

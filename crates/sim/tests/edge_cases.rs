@@ -92,6 +92,11 @@ impl HostCc for OnePacketWindow {
                                    // still admit one when nothing in flight
         }
     }
+
+    // A constant decision: no state.
+    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
+
+    fn restore_state(&mut self, _state: &[u64]) {}
 }
 
 struct OnePacketWindowFactory;
@@ -155,6 +160,15 @@ impl HostCc for CountingTimerCc {
             ctx.set_timer(token, SimDuration::from_micros(50));
         }
         // After 3 fires: not re-armed → no further events.
+    }
+
+    // `fires` is the test's shared counter, not controller state.
+    fn snapshot_state(&self, out: &mut Vec<u64>) {
+        out.push(self.armed as u64);
+    }
+
+    fn restore_state(&mut self, state: &[u64]) {
+        self.armed = state == [1];
     }
 }
 
