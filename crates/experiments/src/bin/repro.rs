@@ -850,7 +850,7 @@ fn main() {
                     };
                     match rocc_sim::snapshot::sections(&bytes) {
                         Ok((info, sections)) => {
-                            println!("{file}: rocc-snapshot/v3");
+                            println!("{file}: {}", rocc_sim::snapshot::SNAPSHOT_FORMAT);
                             println!("  seed:             {}", info.seed);
                             println!("  config digest:    {:016x}", info.config_digest);
                             println!("  sim time:         {} ns", info.now_ns);

@@ -17,12 +17,8 @@
 //! instrumentation itself costs next to switch/host/CP work, so the
 //! profiled configuration is the *most* observed one, not the leanest.
 
-use crate::micro;
-use crate::scenarios;
-use crate::schemes::Scheme;
+use crate::observatory;
 use crate::Scale;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rocc_sim::prelude::*;
 
 /// Scenario names accepted by [`profile`].
@@ -41,9 +37,9 @@ pub struct ProfileRun {
     pub flows: usize,
     /// Flows that completed within the horizon.
     pub completed: usize,
-    /// Events processed in the profiled window.
+    /// Events processed.
     pub events: u64,
-    /// Wall-clock seconds of the profiled window.
+    /// Wall-clock seconds spent running.
     pub wall_seconds: f64,
     /// Per-phase `(name, wall-time share, exact event count)` rows.
     pub shares: Vec<(&'static str, f64, u64)>,
@@ -64,7 +60,7 @@ impl ProfileRun {
         self.shares.iter().map(|(_, s, _)| s).sum()
     }
 
-    /// Events per wall-clock second of the profiled window.
+    /// Events per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.events as f64 / self.wall_seconds
@@ -123,44 +119,20 @@ pub fn profile(scenario: &str, scale: Scale, seed: u64) -> Option<ProfileRun> {
     }
 }
 
-/// N-to-1 RoCC incast on the 40G dumbbell, profiled: same workload and
-/// jittered starts as the observatory's incast, with full telemetry, the
-/// observatory sampler, *and* the phase profiler live.
+/// N-to-1 RoCC incast on the 40G dumbbell, profiled: the observatory's
+/// incast ([`observatory::scenario_sim`]) — full telemetry and the
+/// observatory sampler — with the phase profiler live too.
 pub fn incast(scale: Scale, seed: u64) -> ProfileRun {
-    let (n, size, horizon) = match scale {
-        Scale::Quick => (8usize, 2_000_000u64, SimTime::from_millis(200)),
-        Scale::Paper => (16, 10_000_000, SimTime::from_millis(1000)),
-    };
-    let d = scenarios::dumbbell(n, BitRate::from_gbps(40));
-    let cfg = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    let mut sim = micro::sim_with(d.topo, Scheme::Rocc, 7, cfg);
+    let (mut sim, flows, horizon) =
+        observatory::scenario_sim("incast", scale, seed).expect("incast is a known scenario");
     sim.enable_profiler();
-    sim.trace.telemetry.collect(EventMask::ALL);
-    sim.trace.observatory.enable();
-    sim.trace.sample_period = Some(SimDuration::from_micros(10));
-    sim.trace.watch_queue(d.switch, d.bottleneck_port);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    for (i, &s) in d.senders.iter().enumerate() {
-        sim.trace.watch_flow_rate(FlowId(i as u64));
-        sim.add_flow(FlowSpec {
-            id: FlowId(i as u64),
-            src: s,
-            dst: d.receiver,
-            size,
-            start: SimTime::from_nanos(rng.gen_range(0..10_000)),
-            offered: None,
-        });
-    }
     let verdict = sim.run_until_flows_done(horizon);
     let p = sim.profile();
     ProfileRun {
         scenario: "incast",
         seed,
         scale,
-        flows: n,
+        flows,
         completed: sim.trace.fcts.len(),
         events: p.events_processed,
         wall_seconds: p.wall_seconds,

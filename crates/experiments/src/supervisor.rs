@@ -564,7 +564,7 @@ impl Supervisor {
 }
 
 /// Per-cell snapshot persistence for sub-cell crash recovery. One
-/// `rocc-snapshot/v3` file per cell key, always holding the *latest*
+/// [`rocc_sim::snapshot::SNAPSHOT_MAGIC`] file per cell key, always holding the *latest*
 /// checkpoint (each save atomically replaces the previous one via a
 /// tmp-file + rename). Loads are digest-verified by
 /// [`rocc_sim::snapshot::inspect`]; any anomaly — torn write, bit rot,

@@ -1,7 +1,7 @@
 //! `repro` refuses arguments it cannot parse instead of guessing: a
 //! present-but-invalid positional argument exits 2 naming the valid
 //! values, before anything runs or is written. An absent one keeps its
-//! default.
+//! default. Output that names a format names the current one.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -49,6 +49,35 @@ fn valid_and_absent_arguments_still_run() {
     assert!(repro(&["table1", "quick"]).status.success());
     assert!(repro(&["table1"]).status.success());
     assert_rejected(&repro(&["tabel1"]), "table1");
+}
+
+/// `snapshot inspect` names the format the file carries: the engine's
+/// current magic, not a version string of its own.
+#[test]
+fn snapshot_inspect_prints_the_current_magic() {
+    let dir = fresh_dir("snapshot");
+    let file = dir.join("s.snap");
+    let file = file.to_str().unwrap();
+    let save = repro(&["snapshot", "save", file, "incast", "quick", "7", "2000"]);
+    assert!(
+        save.status.success(),
+        "{}",
+        String::from_utf8_lossy(&save.stderr)
+    );
+    let out = repro(&["snapshot", "inspect", file]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let magic = String::from_utf8_lossy(rocc_sim::snapshot::SNAPSHOT_MAGIC);
+    assert_eq!(magic, "rocc-snapshot/v4");
+    assert_eq!(
+        stdout.lines().next(),
+        Some(format!("{file}: {magic}").as_str())
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

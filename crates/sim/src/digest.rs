@@ -14,7 +14,7 @@
 //!   **separately** — scheduler queue, packet slab, both RNG streams,
 //!   per-switch queues/CC state, per-host CC state, fault cursors,
 //!   telemetry counters: each digest is the FNV-1a-64 of that subsystem's
-//!   `rocc-snapshot/v3` section, so a digest difference names the
+//!   [`crate::snapshot`] section, so a digest difference names the
 //!   component that diverged, and a word-level diff of the two sections
 //!   localizes the field group.
 //! * [`DigestLedger`] records those digests every N dispatched events
@@ -139,7 +139,7 @@ impl ComponentDigests {
 
 impl Sim {
     /// Per-subsystem FNV-1a-64 digests of the current dynamic state: one
-    /// digest per `rocc-snapshot/v3` section, over exactly the bytes
+    /// digest per snapshot section, over exactly the bytes
     /// [`Sim::snapshot`] would frame (see [`crate::snapshot::sections`]).
     /// Equal full-state snapshots therefore have equal digests; a digest
     /// mismatch names the first subsystem whose state diverged.

@@ -203,28 +203,6 @@ impl PhaseProfiler {
         self.on
     }
 
-    /// Zero every accumulator (sampled times, counts, scheduler stats,
-    /// series) while keeping enablement and strides — the reset side of
-    /// [`crate::engine::Sim::reset_profile`], so warm-up work can be
-    /// excluded from a profile.
-    pub fn reset_accumulators(&mut self) {
-        self.timing = false;
-        self.armed = self.on; // time the first post-reset event
-        self.countdown = self.stride;
-        self.sampled_ns = [0; PHASE_COUNT];
-        self.counts = [0; PHASE_COUNT];
-        self.timed_events = 0;
-        self.dispatch_mix = [0; EVENT_KIND_COUNT];
-        self.burst = Histogram::new();
-        self.burst_ones = 0;
-        self.cur_burst = 0;
-        self.last_at_ns = u64::MAX;
-        self.heap_series.clear();
-        self.level_series.clear();
-        self.heap_skip_n = 1;
-        self.heap_skip = 1;
-    }
-
     /// Flush the open interval into the current phase and move the
     /// anchor (timed windows only).
     #[inline]
@@ -401,7 +379,7 @@ impl PhaseProfiler {
         }
     }
 
-    /// Total heap pops dispatched in the window, derived from the
+    /// Total heap pops dispatched while enabled, derived from the
     /// dispatch mix (every successfully popped event enters dispatch
     /// exactly once) so the pop hot path never bumps a dedicated
     /// counter. Push totals come from the kernel's push sequence number
@@ -449,7 +427,7 @@ impl PhaseProfiler {
 
     /// Per-phase share of sampled wall time, as `(name, share, count)`
     /// rows in [`PHASE_NAMES`] order. Shares sum to 1.0 when anything
-    /// was timed, 0.0 otherwise. `pushes` is the window's push total,
+    /// was timed, 0.0 otherwise. `pushes` is the run's push total,
     /// supplied by the caller because the kernel's push sequence number
     /// counts it for free (see [`crate::engine::Sim::profiled_pushes`]).
     pub fn phase_shares(&self, pushes: u64) -> Vec<(&'static str, f64, u64)> {
@@ -562,14 +540,14 @@ impl PhaseProfiler {
 /// [`crate::engine::Sim::perf_profile_json`].
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileContext {
-    /// Events dispatched in the profiled window.
+    /// Events dispatched so far.
     pub events: u64,
-    /// Heap pushes in the profiled window (from the kernel's push
-    /// sequence number — see [`crate::engine::Sim::profiled_pushes`]).
+    /// Heap pushes so far (the kernel's push sequence number — see
+    /// [`crate::engine::Sim::profiled_pushes`]).
     pub pushes: u64,
-    /// Wall nanoseconds accumulated inside run loops in the window.
+    /// Wall nanoseconds accumulated inside run loops.
     pub wall_ns: u64,
-    /// Simulated nanoseconds covered by the window.
+    /// Simulated nanoseconds covered by the run.
     pub sim_ns: u64,
     /// Peak scheduler-heap length over the whole run.
     pub peak_heap: usize,
@@ -755,32 +733,5 @@ mod tests {
         assert!(j.contains("\"flow_dir_entries\":6"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn reset_clears_accumulators_but_keeps_enablement() {
-        let mut p = PhaseProfiler::default();
-        p.enable_with_stride(4);
-        for i in 0..16u64 {
-            p.pop_begin();
-            if p.note_pop(i) {
-                p.note_heap_sample(i, 2, 1, [0; WHEEL_LEVELS]);
-            }
-            p.dispatch_begin(0);
-        }
-        assert!(p.pops() > 0);
-        p.reset_accumulators();
-        assert!(p.is_enabled());
-        assert_eq!(p.pops(), 0);
-        assert_eq!(p.timed_events(), 0);
-        assert!(p.heap_series().is_empty());
-        assert_eq!(p.burst_histogram().count(), 0);
-        // Still collects after the reset.
-        p.pop_begin();
-        if p.note_pop(99) {
-            p.note_heap_sample(99, 2, 1, [0; WHEEL_LEVELS]);
-        }
-        p.dispatch_begin(0);
-        assert_eq!(p.pops(), 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v3` format.
+//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v4` format.
 //!
 //! A snapshot captures the complete *dynamic* state of a [`crate::engine::Sim`]
 //! — scheduler heap, packet slab, switch queues and PFC state, host
@@ -18,7 +18,7 @@
 //! seed-zeroed FNV-1a config digest in the header, plus structural checks
 //! (node counts, watch-list lengths) during decode.
 //!
-//! Wire format: a 16-byte magic (`rocc-snapshot/v3`), a fixed header
+//! Wire format: a 16-byte magic ([`SNAPSHOT_MAGIC`]), a fixed header
 //! (seed, config digest, sim time, event count, body length), a body, and
 //! a trailing FNV-1a-64 digest over everything before it. The body is the
 //! section payloads back to back, each a run of little-endian primitives
@@ -30,9 +30,10 @@
 //! written into becomes the snapshot in place, without a copy.)
 //! Corruption of any byte is caught by the trailer before any state is
 //! applied. There is no reader for older versions (snapshots are ephemeral
-//! checkpoints): v3 differs from v2 in the `host/N` section, where each
-//! sender flow carries its RTO deadline and "one RTO event is queued"
-//! flag, and timer generations only for the CC's tokens. The per-subsystem state digests of
+//! checkpoints): v4 differs from v3 only in two sections, where `kernel`
+//! lost the schedule-clamp count and timestamp (a schedule behind the
+//! clock now panics) and `run` the three profile-window anchors. The
+//! per-subsystem state digests of
 //! [`crate::digest`] are the FNV-1a-64 of these same section payloads, so
 //! equal snapshots have equal digests by construction.
 
@@ -50,7 +51,13 @@ use rocc_stats::digest::fnv1a_64;
 use std::fmt;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v3";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v4";
+
+/// [`SNAPSHOT_MAGIC`] as text, for every message that names the format.
+pub const SNAPSHOT_FORMAT: &str = match std::str::from_utf8(SNAPSHOT_MAGIC) {
+    Ok(s) => s,
+    Err(_) => panic!("snapshot magic is not UTF-8"),
+};
 
 /// Byte length of the fixed header (magic + seed + config digest + now +
 /// events + body length).
@@ -61,7 +68,7 @@ pub const HEADER_LEN: usize = 16 + 8 * 5;
 /// a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The leading magic is not `rocc-snapshot/v3` (wrong file, wrong
+    /// The leading magic is not [`SNAPSHOT_MAGIC`] (wrong file, wrong
     /// version, or garbage).
     BadMagic,
     /// The byte stream ended before the declared structure did.
@@ -91,7 +98,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a rocc-snapshot/v3 file"),
+            SnapshotError::BadMagic => write!(f, "not a {SNAPSHOT_FORMAT} file"),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::DigestMismatch { computed, stored } => write!(
                 f,
@@ -978,8 +985,8 @@ mod tests {
         // Truncation.
         let short = &bytes[..bytes.len() - 3];
         assert!(matches!(inspect(short), Err(SnapshotError::Truncated)));
-        // Wrong magic — `rocc-snapshot/v1` and `/v2` files included.
-        for old_version in [b'1', b'2'] {
+        // Wrong magic — every older `rocc-snapshot` version included.
+        for old_version in [b'1', b'2', b'3'] {
             let mut wrong = frame(1, 2, 3, 4, two_sections(&[]));
             wrong[15] = old_version;
             assert!(matches!(inspect(&wrong), Err(SnapshotError::BadMagic)));

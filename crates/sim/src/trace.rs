@@ -175,12 +175,6 @@ impl Trace {
         Trace::default()
     }
 
-    /// Enable periodic sampling with the given period.
-    pub fn with_sample_period(mut self, p: SimDuration) -> Self {
-        self.sample_period = Some(p);
-        self
-    }
-
     /// Watch an egress data queue (sampled series + exact peak).
     pub fn watch_queue(&mut self, node: NodeId, port: PortId) {
         self.queue_index
@@ -337,7 +331,7 @@ impl Trace {
     }
 
     /// Route one event to every consumer (observatory first, then the
-    /// telemetry sink's subscribers/log/metrics). Each consumer applies its
+    /// telemetry sink's log and metrics). Each consumer applies its
     /// own mask, so publishing an unwanted class is a cheap no-op.
     pub fn publish_event(&mut self, ev: SimEvent) {
         self.observatory.observe(&ev);

@@ -1,6 +1,6 @@
 //! Integration tests for the engine performance observatory: the
 //! `rocc-perf-profile/v1` artifact, the manual-stepping API, and the
-//! reset-safe `Sim::profile` window (the warm-up double-count regression).
+//! `Sim::profile` summary.
 
 use rocc_core::{RoccHostCcFactory, RoccSwitchCcFactory};
 use rocc_sim::prelude::*;
@@ -45,46 +45,10 @@ fn incast(seed: u64) -> Sim {
     sim
 }
 
-/// Regression (ISSUE 7 satellite): `Sim::profile` used to double-count
-/// warm-up work when `run_until_flows_done` followed a manual `step` loop
-/// — the events/sim-time window was anchored at construction, not at the
-/// last reset. `reset_profile` re-bases all three anchors (wall, events,
-/// sim time), so the reported window covers exactly the post-reset run.
-#[test]
-fn profile_window_excludes_stepped_warmup_after_reset() {
-    let mut sim = incast(7);
-    // Warm up by manual stepping.
-    const WARMUP: u64 = 500;
-    for _ in 0..WARMUP {
-        assert!(sim.step(), "warm-up drained the event heap");
-    }
-    assert_eq!(sim.events_processed(), WARMUP);
-    let warm = sim.profile();
-    assert_eq!(warm.events_processed, WARMUP);
-    assert!(warm.sim_seconds > 0.0);
-
-    sim.reset_profile();
-    // Immediately after a reset the window is empty on every axis.
-    let fresh = sim.profile();
-    assert_eq!(fresh.events_processed, 0);
-    assert_eq!(fresh.wall_seconds, 0.0);
-    assert_eq!(fresh.sim_seconds, 0.0);
-
-    sim.run_until_flows_done(SimTime::from_millis(100))
-        .assert_complete();
-    let total = sim.events_processed();
-    let p = sim.profile();
-    // The window covers only the post-reset run: warm-up events are not
-    // double-counted into events/sec.
-    assert_eq!(p.events_processed, total - WARMUP);
-    assert!(p.wall_seconds > 0.0);
-    assert!(p.sim_seconds > 0.0);
-    assert!(p.events_per_sec().is_finite() && p.events_per_sec() > 0.0);
-}
-
 /// A run driven entirely by `Sim::step` is bit-identical to the same seed
 /// driven by `run_until_flows_done` — stepping is the same engine loop,
-/// one event at a time (including the one-shot sampling bootstrap).
+/// one event at a time (including the one-shot sampling bootstrap) — and
+/// `Sim::profile` summarises either from construction.
 #[test]
 fn stepped_run_matches_batch_run() {
     let mut batch = incast(42);
@@ -104,6 +68,37 @@ fn stepped_run_matches_batch_run() {
     assert_eq!(fcts(&batch), fcts(&stepped));
     assert_eq!(batch.trace.drops, stepped.trace.drops);
     assert_eq!(batch.trace.ctrl_emitted, stepped.trace.ctrl_emitted);
+    for sim in [&batch, &stepped] {
+        let p = sim.profile();
+        assert_eq!(p.events_processed, sim.events_processed());
+        assert!(p.wall_seconds > 0.0);
+        assert!(p.sim_seconds > 0.0);
+        assert!(p.events_per_sec().is_finite() && p.events_per_sec() > 0.0);
+    }
+}
+
+/// Regression guard for the warm-up double count: a run that is stepped
+/// for a while and then finished by `run_until_flows_done` reports every
+/// event, and the wall time of both legs, exactly once in `Sim::profile`.
+#[test]
+fn profile_counts_a_stepped_warmup_once() {
+    let mut sim = incast(7);
+    const WARMUP: u64 = 500;
+    for _ in 0..WARMUP {
+        assert!(sim.step(), "warm-up drained the event heap");
+    }
+    let warm = sim.profile();
+    assert_eq!(warm.events_processed, WARMUP);
+    assert!(warm.sim_seconds > 0.0);
+
+    sim.run_until_flows_done(SimTime::from_millis(100))
+        .assert_complete();
+    let p = sim.profile();
+    assert_eq!(p.events_processed, sim.events_processed());
+    assert!(p.events_processed > WARMUP);
+    assert!(p.wall_seconds >= warm.wall_seconds && p.wall_seconds > 0.0);
+    assert!(p.sim_seconds > warm.sim_seconds);
+    assert!(p.events_per_sec().is_finite() && p.events_per_sec() > 0.0);
 }
 
 /// Acceptance: the `rocc-perf-profile/v1` artifact carries per-phase
@@ -117,6 +112,8 @@ fn perf_profile_artifact_is_complete_and_consistent() {
     sim.run_until_flows_done(SimTime::from_millis(100))
         .assert_complete();
 
+    // Enabled before the first event, the profiler saw every dispatch.
+    assert_eq!(sim.kernel.prof.pops(), sim.events_processed());
     let shares = sim.kernel.prof.phase_shares(sim.profiled_pushes());
     let total: f64 = shares.iter().map(|(_, share, _)| share).sum();
     assert!(
@@ -145,27 +142,6 @@ fn perf_profile_artifact_is_complete_and_consistent() {
     assert!(json.contains("\"flow_dir_entries\":4"));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert_eq!(json.matches('[').count(), json.matches(']').count());
-}
-
-/// The profiler composes with `reset_profile`: a profiled warm-up can be
-/// discarded and the artifact then reports only the measured window.
-#[test]
-fn profiler_accumulators_follow_the_profile_window() {
-    let mut sim = incast(7);
-    sim.enable_profiler_with_stride(8);
-    for _ in 0..200 {
-        assert!(sim.step());
-    }
-    assert!(sim.kernel.prof.pops() > 0);
-    sim.reset_profile();
-    assert_eq!(sim.kernel.prof.pops(), 0, "reset kept scheduler counters");
-
-    sim.run_until_flows_done(SimTime::from_millis(100))
-        .assert_complete();
-    let total = sim.events_processed();
-    // Post-reset pops cover exactly the post-warm-up events.
-    assert_eq!(sim.kernel.prof.pops(), total - 200);
-    assert!(sim.kernel.prof.timed_events() > 0);
 }
 
 /// Regression guard for the transport's timer: one lazily re-armed RTO

@@ -229,7 +229,7 @@ fn restore_rejects_corrupt_container() {
     }
 }
 
-/// Assemble a `rocc-snapshot/v3` container by hand from a header and a
+/// Assemble a `rocc-snapshot/v4` container by hand from a header and a
 /// section list — the layout DESIGN.md §3i documents, written without the
 /// crate's own framer so the two are checked against each other.
 fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) -> Vec<u8> {
@@ -254,7 +254,7 @@ fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) ->
 }
 
 /// Well-framed containers whose section table does not match the sim —
-/// a `rocc-snapshot/v1` or `/v2` file, reordered / missing / extra sections, a
+/// an older `rocc-snapshot` version (v1 to v3), reordered / missing / extra sections, a
 /// section cut short or padded — are each refused with a typed error,
 /// never restored and never a panic.
 #[test]
@@ -267,7 +267,7 @@ fn restore_rejects_v1_files_and_mismatched_section_tables() {
     let restore = |bytes: &[u8]| build_chaos(7).restore(bytes);
     let malformed = |r| matches!(r, Err(snapshot::SnapshotError::Malformed(_)));
 
-    for old_version in [b'1', b'2'] {
+    for old_version in [b'1', b'2', b'3'] {
         let mut old = bytes.clone();
         old[15] = old_version;
         assert_eq!(restore(&old), Err(snapshot::SnapshotError::BadMagic));

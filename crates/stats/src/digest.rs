@@ -1,6 +1,6 @@
 //! The workspace's one FNV-1a-64 implementation.
 //!
-//! Every digest in the reproduction — the `rocc-snapshot/v3` trailer,
+//! Every digest in the reproduction — the `rocc-snapshot` trailer,
 //! the observatory's manifest/golden digests, ECMP flow hashing, and the
 //! per-component state digests of the divergence observatory — speaks
 //! the same 64-bit FNV-1a so artifacts stay comparable across tools and
