@@ -1,0 +1,115 @@
+//! The `rocc-snapshot/v4` wire format, pinned.
+//!
+//! Each case runs a scheme to two event cut points and compares the full
+//! snapshot bytes — length and FNV-1a-64 — against constants captured
+//! once. Any change to any section's layout, to the section order or to
+//! the framing moves one of them. A refactor that must keep the format
+//! (id narrowing, codec rewrites) is checked by this file staying green
+//! unedited; a deliberate format change bumps [`SNAPSHOT_MAGIC`] and
+//! re-pins here in the same commit.
+//!
+//! The cases cover what travels through a snapshot: RoCC CNPs, a chaos
+//! fault plan, the sanitizer, every telemetry class with metrics, the
+//! observatory and all five trace watch kinds (chaos); INT stacks in
+//! flight on packets and ACKs (HPCC); QCN feedback frames in flight and
+//! their feedback events queued (QCN).
+
+use rocc_experiments::diverge::scenario_sim;
+use rocc_experiments::micro::sim_with;
+use rocc_experiments::{scenarios, Scale, Scheme};
+use rocc_sim::prelude::*;
+use rocc_stats::digest::fnv1a_64;
+
+/// `(event index, snapshot length, FNV-1a-64 of the snapshot)`.
+type Pin = (u64, usize, u64);
+
+/// Run `sim` to each pinned event index in turn and check its snapshot
+/// there; also check that the bytes restore into `rebuild()` and
+/// re-serialize unchanged.
+fn check(name: &str, mut sim: Sim, rebuild: impl Fn() -> Sim, pins: [Pin; 2]) {
+    for (k, len, digest) in pins {
+        assert!(sim.run_until_event(k), "{name}: the run ends before event {k}");
+        let bytes = sim.snapshot();
+        assert_eq!(
+            (bytes.len(), fnv1a_64(&bytes)),
+            (len, digest),
+            "{name}: snapshot at event {k} moved (got len {}, digest {:#018x})",
+            bytes.len(),
+            fnv1a_64(&bytes)
+        );
+        let mut resumed = rebuild();
+        resumed.restore(&bytes).unwrap_or_else(|e| panic!("{name}@{k}: {e}"));
+        assert!(resumed.snapshot() == bytes, "{name}@{k}: restore does not re-serialize");
+    }
+}
+
+/// The faulted RoCC incast of `repro diverge … chaos`, with every piece of
+/// instrumentation that has a snapshot section switched on.
+fn chaos_everything_on() -> Sim {
+    let mut sim = scenario_sim("chaos", Scale::Quick, 7).expect("chaos is a diverge scenario");
+    sim.enable_sanitizer();
+    sim.trace.telemetry.collect(EventMask::ALL);
+    sim.trace.telemetry.enable_metrics();
+    sim.trace.observatory.enable();
+    sim.trace.sample_period = Some(SimDuration::from_micros(10));
+    // Node 0 is the switch, port 0 faces the receiver; flow 0 starts at
+    // node 2.
+    let (sw, bottleneck) = (NodeId(0), PortId(0));
+    sim.trace.watch_queue(sw, bottleneck);
+    sim.trace.watch_queue_avg(sw, bottleneck);
+    sim.trace.watch_port_tput(sw, bottleneck);
+    sim.trace.watch_flow_rate(FlowId(0));
+    sim.trace.watch_cc_rate(FlowId(0));
+    sim
+}
+
+/// `n` senders of 400 KB each into one receiver at 40 Gb/s under `scheme`.
+fn incast(scheme: Scheme, n: usize, seed: u64) -> Sim {
+    let d = scenarios::dumbbell(n, BitRate::from_gbps(40));
+    let cfg = SimConfig { seed, ..SimConfig::default() };
+    let mut sim = sim_with(d.topo, scheme, 7, cfg);
+    for (i, &src) in d.senders.iter().enumerate() {
+        sim.add_flow(FlowSpec {
+            id: FlowId(i as u64),
+            src,
+            dst: d.receiver,
+            size: 400_000,
+            start: SimTime::ZERO,
+            offered: None,
+        });
+    }
+    sim
+}
+
+#[test]
+fn rocc_chaos_with_everything_on() {
+    check(
+        "rocc chaos",
+        chaos_everything_on(),
+        chaos_everything_on,
+        [
+            (10_000, 112_771, 0x55e6_ee6a_3d2f_9e2c),
+            (42_000, 215_690, 0xd7fd_ea68_d847_ebb2),
+        ],
+    );
+}
+
+#[test]
+fn hpcc_incast_with_int_stacks_in_flight() {
+    let build = || incast(Scheme::Hpcc, 6, 3);
+    let pins = [
+        (2_000, 23_293, 0xc55f_e05b_fadf_18cc),
+        (10_000, 24_061, 0xe021_f610_bcc6_1da9),
+    ];
+    check("hpcc", build(), build, pins);
+}
+
+#[test]
+fn qcn_incast_with_feedback_in_flight() {
+    let build = || incast(Scheme::Qcn, 8, 5);
+    let pins = [
+        (2_000, 52_987, 0x83a3_f41c_fb46_afe5),
+        (6_000, 126_075, 0x3634_e6fe_30e8_af71),
+    ];
+    check("qcn", build(), build, pins);
+}
