@@ -970,32 +970,29 @@ impl Sim {
     /// topology order, `run`, `trace`, `sanitizer`.
     pub(crate) fn sections(&self) -> snapshot::Sections {
         let mut w = SnapWriter::new();
+        let k = &self.kernel;
         // Kernel odometers and the clock.
         w.section("kernel");
-        w.u64(self.kernel.seq);
-        w.usize(self.kernel.peak_heap);
-        w.time(self.kernel.now);
-        w.u64(self.events_processed);
+        w.put(&(k.seq, k.peak_heap, k.now, self.events_processed));
         // The run RNG stream (the fault RNG lives in `faults`).
         w.section("rng");
-        w.words(&self.kernel.rng.state());
+        w.put(&k.rng.state().to_vec());
         // The event queue, (at, seq)-sorted: (at, seq) is a total order,
         // so pushing the sorted entries back yields an identical pop order.
         w.section("sched");
-        let mut queued = self.kernel.sched.entries();
+        let mut queued = k.sched.entries();
         queued.sort_by_key(|&(at, seq, _)| (at, seq));
-        w.usize(queued.len());
+        w.put(&queued.len());
         for (at, seq, ev) in queued {
-            w.time(at);
-            w.u64(seq);
-            snapshot::write_event(&mut w, ev);
+            w.put(&(at, seq));
+            w.put(ev);
         }
         w.section("faults");
-        self.kernel.faults.save_state(&mut w);
+        k.faults.save_state(&mut w);
         w.section("san");
-        self.kernel.san.save_state(&mut w);
+        w.put(&k.san);
         w.section("slab");
-        self.kernel.packets.save_state(&mut w);
+        w.put(&k.packets);
         // Node states, in topology order; the section name carries the role.
         for (i, n) in self.nodes.iter().enumerate() {
             w.section(n.section_name(i));
@@ -1007,10 +1004,12 @@ impl Sim {
         // Run bookkeeping (flow registrations are construction state, but
         // the odometers move with the schedule).
         w.section("run");
-        w.usize(self.flows.len());
-        w.u64(self.finite_flows);
-        w.u64(self.stall_run);
-        w.bool(self.sampling_bootstrapped);
+        w.put(&(
+            self.flows.len(),
+            self.finite_flows,
+            self.stall_run,
+            self.sampling_bootstrapped,
+        ));
         // Instrumentation.
         w.section("trace");
         self.trace.save_state(&mut w);
@@ -1047,13 +1046,13 @@ impl Sim {
         }
         let mut secs = snapshot::SectionCursor::new(sections);
         let (seq, peak_heap) = secs.read("kernel", |r| {
-            let odometers = (r.u64()?, r.usize()?);
-            if (r.u64()?, r.u64()?) != (info.now_ns, info.events_processed) {
+            let (seq, peak_heap, now, events): (u64, usize, SimTime, u64) = r.get()?;
+            if (now.as_nanos(), events) != (info.now_ns, info.events_processed) {
                 return Err(SnapshotError::Malformed("kernel section disagrees with header"));
             }
-            Ok(odometers)
+            Ok((seq, peak_heap))
         })?;
-        let rng = secs.read("rng", |r| match r.words()?[..] {
+        let rng = secs.read("rng", |r| match r.get::<Vec<u64>>()?[..] {
             [a, b, c, d] => Ok(StdRng::from_state([a, b, c, d])),
             _ => Err(SnapshotError::Malformed("rng state")),
         })?;
@@ -1062,14 +1061,21 @@ impl Sim {
         let sched = secs.read("sched", |r| {
             let mut sched = TimingWheel::default();
             for _ in 0..r.len()? {
-                let (at, seq) = (r.time()?, r.u64()?);
-                sched.push(Scheduled { at, seq, ev: snapshot::read_event(r)? });
+                sched.push(Scheduled {
+                    at: r.get()?,
+                    seq: r.get()?,
+                    ev: r.get()?,
+                });
             }
             Ok(sched)
         })?;
         secs.read("faults", |r| self.kernel.faults.load_state(r))?;
-        secs.read("san", |r| self.kernel.san.load_state(r))?;
-        secs.read("slab", |r| self.kernel.packets.load_state(r))?;
+        let san: SanLedger = secs.read("san", |r| r.get())?;
+        if san.on() != self.kernel.san.on() {
+            return Err(SnapshotError::Malformed("ledger enable flag differs"));
+        }
+        self.kernel.san = san;
+        self.kernel.packets = secs.read("slab", |r| r.get())?;
         // One section per node, then `run`, `trace`, `sanitizer`.
         if secs.remaining() != self.nodes.len() + 3 {
             return Err(SnapshotError::Malformed("node count differs"));
@@ -1087,11 +1093,11 @@ impl Sim {
             }
         }
         secs.read("run", |r| {
-            if (r.usize()?, r.u64()?) != (self.flows.len(), self.finite_flows) {
+            let (flows, finite_flows): (usize, u64) = r.get()?;
+            if (flows, finite_flows) != (self.flows.len(), self.finite_flows) {
                 return Err(SnapshotError::Malformed("flow registration differs"));
             }
-            self.stall_run = r.u64()?;
-            self.sampling_bootstrapped = r.bool()?;
+            (self.stall_run, self.sampling_bootstrapped) = r.get()?;
             Ok(())
         })?;
         secs.read("trace", |r| self.trace.load_state(r))?;

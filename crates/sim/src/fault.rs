@@ -495,44 +495,25 @@ impl FaultState {
     /// current down flags. The plan itself is construction state the
     /// restoring run rebuilds identically.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        w.usize(self.link_down.len());
-        for &d in &self.link_down {
-            w.bool(d);
-        }
-        w.usize(self.host_down.len());
-        for &d in &self.host_down {
-            w.bool(d);
-        }
+        w.put(&self.rng.state());
+        w.put(&self.link_down);
+        w.put(&self.host_down);
     }
 
     /// Overwrite the dynamic fault state from a [`FaultState::save_state`]
     /// stream. Fails if the down-flag vector lengths disagree with the
     /// rebuilt fabric (wrong topology).
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        let nl = r.len()?;
-        if nl != self.link_down.len() {
+        let rng = StdRng::from_state(r.get()?);
+        let link_down: Vec<bool> = r.get()?;
+        if link_down.len() != self.link_down.len() {
             return Err(SnapshotError::Malformed("fault link count"));
         }
-        let mut link_down = Vec::with_capacity(nl);
-        for _ in 0..nl {
-            link_down.push(r.bool()?);
-        }
-        let nh = r.len()?;
-        if nh != self.host_down.len() {
+        let host_down: Vec<bool> = r.get()?;
+        if host_down.len() != self.host_down.len() {
             return Err(SnapshotError::Malformed("fault host count"));
         }
-        let mut host_down = Vec::with_capacity(nh);
-        for _ in 0..nh {
-            host_down.push(r.bool()?);
-        }
-        self.rng = StdRng::from_state(s);
+        self.rng = rng;
         self.link_down = link_down;
         self.host_down = host_down;
         Ok(())

@@ -21,9 +21,7 @@
 //! heap already orders by.
 
 use crate::packet::Packet;
-use crate::snapshot::{
-    read_packet, write_packet, SnapReader, SnapWriter, SnapshotError,
-};
+use crate::snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 
 /// Index of a live packet in the [`PacketSlab`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,50 +126,35 @@ impl PacketSlab {
     pub fn peak_live(&self) -> usize {
         self.peak_live
     }
+}
 
-    /// Serialize the complete arena: every slot (live or free) verbatim,
-    /// plus the freelist in its exact LIFO order. Slot indices embedded in
-    /// heap events must keep meaning after restore, and future allocations
-    /// must pop the same slots in the same order, so nothing is compacted.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.slots.len());
-        for p in &self.slots {
-            write_packet(w, p);
-        }
-        w.usize(self.free.len());
-        for &i in &self.free {
-            w.u32(i);
-        }
-        w.usize(self.live);
-        w.usize(self.peak_live);
+/// The complete arena: every slot (live or free) verbatim, plus the
+/// freelist in its exact LIFO order. Slot indices embedded in queued
+/// events must keep meaning after restore, and future allocations must pop
+/// the same slots in the same order, so nothing is compacted.
+impl Codec for PacketSlab {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.slots);
+        w.put(&self.free);
+        w.put(&self.live);
+        w.put(&self.peak_live);
     }
 
-    /// Overwrite the arena from a [`PacketSlab::save_state`] stream.
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.len()?;
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            slots.push(read_packet(r)?);
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let slab = PacketSlab {
+            slots: r.get()?,
+            free: r.get()?,
+            live: r.get()?,
+            peak_live: r.get()?,
+        };
+        let n = slab.slots.len();
+        if slab.free.iter().any(|&i| i as usize >= n) {
+            return Err(SnapshotError::Malformed("slab freelist index"));
         }
-        let nf = r.len()?;
-        let mut free = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            let i = r.u32()?;
-            if i as usize >= n {
-                return Err(SnapshotError::Malformed("slab freelist index"));
-            }
-            free.push(i);
-        }
-        let live = r.usize()?;
-        let peak_live = r.usize()?;
-        if live != n - nf.min(n) {
+        if slab.live != n - slab.free.len().min(n) {
             return Err(SnapshotError::Malformed("slab live count"));
         }
-        self.slots = slots;
-        self.free = free;
-        self.live = live;
-        self.peak_live = peak_live;
-        Ok(())
+        Ok(slab)
     }
 }
 

@@ -253,6 +253,37 @@ fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) ->
     out
 }
 
+/// Damage inside section payloads, re-framed behind a valid trailer so
+/// only the section decoders stand between it and the sim: a payload cut
+/// short anywhere is refused with an error, and no flipped byte makes
+/// restore panic (a flip that still decodes is data, not structure).
+#[test]
+fn restore_refuses_or_survives_corrupt_section_payloads() {
+    let mut donor = build_chaos(7);
+    donor.run_until_event(1000);
+    let bytes = donor.snapshot();
+    let (info, sections) = snapshot::sections(&bytes).expect("own snapshot parses");
+    let restore = |secs: &[snapshot::Section<'_>]| {
+        let framed = reframe(&info, secs);
+        std::panic::catch_unwind(|| build_chaos(7).restore(&framed))
+    };
+    for (i, &(name, payload)) in sections.iter().enumerate() {
+        for cut in [0, payload.len() / 2, payload.len() - 1] {
+            let mut short = sections.clone();
+            short[i].1 = &payload[..cut];
+            let got = restore(&short).expect("restore must not panic");
+            assert!(got.is_err(), "{name} cut to {cut} of {} bytes restored", payload.len());
+        }
+        for pos in (0..payload.len()).step_by(payload.len().div_ceil(24)) {
+            let mut flipped = payload.to_vec();
+            flipped[pos] ^= 0xff;
+            let mut secs = sections.clone();
+            secs[i].1 = &flipped;
+            assert!(restore(&secs).is_ok(), "{name}: flipping byte {pos} panicked");
+        }
+    }
+}
+
 /// Well-framed containers whose section table does not match the sim —
 /// an older `rocc-snapshot` version (v1 to v3), reordered / missing / extra sections, a
 /// section cut short or padded — are each refused with a typed error,
