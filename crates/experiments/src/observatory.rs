@@ -80,7 +80,10 @@ impl ObserveRun {
         let env: Vec<String> = self
             .env_overrides
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", k, rocc_stats::json::escape(v)))
+            .map(|(k, v)| {
+                let (k, v) = (rocc_stats::json::escape(k), rocc_stats::json::escape(v));
+                format!("\"{k}\":\"{v}\"")
+            })
             .collect();
         format!(
             concat!(
@@ -648,10 +651,19 @@ pub struct FidelityCheck {
 }
 
 impl FidelityCheck {
+    /// One JSON object; a non-finite value (the `conv_time` delta when only
+    /// one run settles is infinite) is `null`, which JSON has and `inf`
+    /// is not.
     fn to_json(&self) -> String {
+        let num = |x: f64| if x.is_finite() { format!("{x:.6}") } else { "null".to_string() };
         format!(
-            "{{\"name\":\"{}\",\"a\":{:.6},\"b\":{:.6},\"delta\":{:.6},\"limit\":{:.6},\"pass\":{}}}",
-            self.name, self.a, self.b, self.delta, self.limit, self.pass
+            "{{\"name\":\"{}\",\"a\":{},\"b\":{},\"delta\":{},\"limit\":{},\"pass\":{}}}",
+            self.name,
+            num(self.a),
+            num(self.b),
+            num(self.delta),
+            num(self.limit),
+            self.pass
         )
     }
 }
@@ -862,6 +874,29 @@ mod tests {
         assert_ne!(digest("a"), digest("b"));
     }
 
+    /// Override names come from the environment: the manifest escapes
+    /// them like their values.
+    #[test]
+    fn manifest_escapes_env_override_names() {
+        let run = ObserveRun {
+            scenario: "incast",
+            seed: 1,
+            scale: Scale::Quick,
+            flows: 0,
+            completed: 0,
+            metrics_jsonl: String::new(),
+            perfetto_json: String::new(),
+            config_debug: String::new(),
+            verdict: RunVerdict::Completed { flows: 0 },
+            env_overrides: vec![("ROCC_\"Q\\".to_string(), "v\"".to_string())],
+        };
+        let manifest = run.manifest_json();
+        assert!(
+            manifest.contains("\"env_overrides\":{\"ROCC_\\\"Q\\\\\":\"v\\\"\"}"),
+            "{manifest}"
+        );
+    }
+
     #[test]
     fn sweep_cell_summary_roundtrips_and_rejects_torn_lines() {
         let c = SweepCellSummary {
@@ -960,5 +995,8 @@ mod tests {
         }
         let rendered = rep.render();
         assert!(rendered.contains("FAIL"));
+        // Only `a` settles, so the conv_time delta is infinite: JSON null.
+        let json = rep.to_json();
+        assert!(json.contains("\"delta\":null") && !json.contains("inf"), "{json}");
     }
 }

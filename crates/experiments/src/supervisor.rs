@@ -462,6 +462,12 @@ impl Supervisor {
     /// Results come back in input order. With a journal attached, cells
     /// whose key already has a decodable `ok` line are replayed from the
     /// journal without running.
+    ///
+    /// # Panics
+    ///
+    /// On a key JSON would escape (a `"`, a `\` or a control character):
+    /// the journal could not read it back, so its cell would silently
+    /// re-run on every resume.
     pub fn run<T, R, F, C>(&self, cells: Vec<(String, T)>, codec: &C, run_fn: F) -> Campaign<R>
     where
         T: Send,
@@ -469,6 +475,9 @@ impl Supervisor {
         F: Fn(&T) -> Result<R, SimError> + Sync + Send,
         C: CellCodec<R> + Sync,
     {
+        if let Some((key, _)) = cells.iter().find(|(key, _)| json::escape(key) != *key) {
+            panic!("cell key {key:?} cannot be journaled: JSON escapes one of its characters");
+        }
         let mut cache: HashMap<String, String> = HashMap::new();
         if let Some(path) = &self.journal {
             for e in load_journal(path) {
@@ -767,6 +776,16 @@ mod tests {
         }
         assert_eq!(JournalEntry::parse(""), None);
         assert_eq!(JournalEntry::parse("garbage"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell key \"run \\\"7\\\"\" cannot be journaled")]
+    fn keys_the_journal_cannot_read_back_are_refused() {
+        let journal = scratch_path("supervisor-badkey");
+        let cells = vec![("ok".to_string(), 0u64), ("run \"7\"".to_string(), 1u64)];
+        Supervisor::new(ExecMode::Serial)
+            .with_journal(&journal)
+            .run(cells, &ok_codec(), |&c| Ok(c));
     }
 
     #[test]
