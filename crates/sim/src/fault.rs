@@ -569,7 +569,6 @@ mod tests {
             cum_seq: 0,
             ecn_echo: false,
             data_tx_time: SimTime::ZERO,
-            int: Default::default(),
         }));
         // An ACK carrying a congestion notification (ECN echo) is part of
         // the feedback channel.
@@ -577,7 +576,6 @@ mod tests {
             cum_seq: 0,
             ecn_echo: true,
             data_tx_time: SimTime::ZERO,
-            int: Default::default(),
         }));
         assert!(FaultTarget::Control.matches(&cnp_kind()));
         assert!(FaultTarget::Data.matches(&data_kind()));

@@ -801,9 +801,8 @@ impl Host {
                 cum_seq,
                 ecn_echo,
                 data_tx_time,
-                int,
             } => {
-                self.receive_ack(k, topo, trace, pkt.flow, cum_seq, ecn_echo, data_tx_time, int);
+                self.receive_ack(k, topo, trace, pkt.flow, cum_seq, ecn_echo, data_tx_time, pkt.int);
             }
             PacketKind::Nack { expected_seq } => {
                 if let Some(f) = self.flows.get_mut(&pkt.flow) {
@@ -1078,10 +1077,9 @@ impl Host {
                     cum_seq: cum,
                     ecn_echo: pkt.ecn,
                     data_tx_time: pkt.sent_at,
-                    int: pkt.int,
                 },
                 ecn: false,
-                int: IntStack::new(),
+                int: pkt.int,
                 sent_at: k.now,
             });
             self.try_send(k, topo, trace);
@@ -1127,10 +1125,9 @@ impl Host {
                 cum_seq: cum,
                 ecn_echo: pkt.ecn,
                 data_tx_time: pkt.sent_at,
-                int: pkt.int,
             },
             ecn: false,
-            int: IntStack::new(),
+            int: pkt.int,
             sent_at: k.now,
         });
         self.try_send(k, topo, trace);
@@ -1443,7 +1440,6 @@ mod tests {
             cum_seq,
             ecn_echo: false,
             data_tx_time: SimTime::from_nanos(now),
-            int: IntStack::new(),
         }
     }
 

@@ -87,23 +87,25 @@ impl IntStack {
         self.len == 0
     }
 
-    /// Per-packet INT overhead on the wire, in bytes (HPCC reports 42 B for
-    /// 5 hops; we charge 8 B per stamped hop plus a 2 B shim).
+    /// Per-packet INT overhead on the wire, in bytes.
     pub fn wire_overhead_bytes(&self) -> u64 {
-        if self.len == 0 {
-            0
-        } else {
-            2 + 8 * self.len as u64
-        }
+        int_overhead_bytes(self.len())
     }
 }
 
-/// What a packet is.
-///
-/// The `Ack` variant carries the INT stack and dominates the size; the
-/// enum stays `Copy` on purpose (packets are moved through queues by
-/// value), so boxing the large variant is not an option.
-#[allow(clippy::large_enum_variant)]
+/// INT overhead of `hops` stamped hops, in bytes (HPCC reports 42 B for 5
+/// hops; we charge 8 B per stamped hop plus a 2 B shim).
+fn int_overhead_bytes(hops: usize) -> u64 {
+    if hops == 0 {
+        0
+    } else {
+        2 + 8 * hops as u64
+    }
+}
+
+/// What a packet is: 32 bytes and `Copy`. No variant carries INT records;
+/// a packet's hops, stamped on data and echoed on its ACK, are
+/// [`Packet::int`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// Application payload carried by the reliable transport.
@@ -124,8 +126,6 @@ pub enum PacketKind {
         ecn_echo: bool,
         /// Send timestamp of the acked data packet (TIMELY RTT measurement).
         data_tx_time: SimTime,
-        /// Echoed INT telemetry (HPCC).
-        int: IntStack,
     },
     /// Go-back-N negative acknowledgment: receiver saw a gap.
     Nack {
@@ -186,6 +186,21 @@ impl PacketKind {
                 | PacketKind::QcnFb { .. }
         )
     }
+
+    /// Bytes a packet of this kind carrying `int_hops` INT records
+    /// occupies on the wire and in buffers: the one size rule behind
+    /// [`Packet::wire_bytes`] and [`crate::slab::PacketHead::wire_bytes`].
+    /// Hops count on data (stamped) and ACKs (echoed) only.
+    pub(crate) fn wire_bytes(&self, int_hops: usize) -> u64 {
+        match *self {
+            PacketKind::Data { payload, .. } => {
+                DATA_HEADER_BYTES + payload + int_overhead_bytes(int_hops)
+            }
+            PacketKind::PfcPause | PacketKind::PfcResume => PFC_FRAME_BYTES,
+            PacketKind::Ack { .. } => CONTROL_PACKET_BYTES + int_overhead_bytes(int_hops),
+            _ => CONTROL_PACKET_BYTES,
+        }
+    }
 }
 
 /// Fixed per-packet header overhead on the wire for data packets:
@@ -211,7 +226,8 @@ pub struct Packet {
     pub kind: PacketKind,
     /// ECN congestion-experienced mark (set by switches, DCQCN/DCQCN+PI).
     pub ecn: bool,
-    /// In-band telemetry stack (stamped by switches when HPCC is active).
+    /// In-band telemetry: on data, the hops switches stamped (when HPCC is
+    /// active); on an ACK, the acked data packet's hops, echoed.
     pub int: IntStack,
     /// Time the packet was first transmitted by its origin.
     pub sent_at: SimTime,
@@ -220,16 +236,7 @@ pub struct Packet {
 impl Packet {
     /// Total bytes this packet occupies on the wire and in buffers.
     pub fn wire_bytes(&self) -> u64 {
-        match self.kind {
-            PacketKind::Data { payload, .. } => {
-                DATA_HEADER_BYTES + payload + self.int.wire_overhead_bytes()
-            }
-            PacketKind::PfcPause | PacketKind::PfcResume => PFC_FRAME_BYTES,
-            PacketKind::Ack { ref int, .. } => {
-                CONTROL_PACKET_BYTES + int.wire_overhead_bytes()
-            }
-            _ => CONTROL_PACKET_BYTES,
-        }
+        self.kind.wire_bytes(self.int.len())
     }
 
     /// True if this packet carries flow payload.

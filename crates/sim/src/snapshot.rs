@@ -608,13 +608,18 @@ struct_codec!(CpId { node, port });
 
 struct_codec!(IntHop { qlen_bytes, tx_bytes, ts_ns, rate });
 
-/// A one-byte hop count, then the hops.
+/// An INT stack: a one-byte hop count, then the hops.
+fn put_hops(w: &mut SnapWriter, hops: &[IntHop]) {
+    w.put(&(hops.len() as u8));
+    for h in hops {
+        w.put(h);
+    }
+}
+
+/// See [`put_hops`].
 impl Codec for IntStack {
     fn put(&self, w: &mut SnapWriter) {
-        w.put(&(self.len() as u8));
-        for h in self.hops() {
-            w.put(h);
-        }
+        put_hops(w, self.hops());
     }
     fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let n = r.get::<u8>()? as usize;
@@ -642,13 +647,11 @@ impl Codec for PacketKind {
                 cum_seq,
                 ecn_echo,
                 data_tx_time,
-                int,
             } => {
                 w.put(&1u8);
                 w.put(cum_seq);
                 w.put(ecn_echo);
                 w.put(data_tx_time);
-                w.put(int);
             }
             PacketKind::Nack { expected_seq } => {
                 w.put(&2u8);
@@ -694,7 +697,6 @@ impl Codec for PacketKind {
                 cum_seq: r.get()?,
                 ecn_echo: r.get()?,
                 data_tx_time: r.get()?,
-                int: r.get()?,
             },
             2 => PacketKind::Nack {
                 expected_seq: r.get()?,
@@ -720,7 +722,45 @@ impl Codec for PacketKind {
     }
 }
 
-struct_codec!(Packet { flow, src, dst, kind, ecn, int, sent_at });
+/// `flow`, `src`, `dst`, `kind`, `ecn`, the INT stack, `sent_at` — except
+/// that an ACK's stack follows its kind's fields, where `PacketKind::Ack`
+/// carried the echoed stack when `rocc-snapshot/v4` was pinned, and an
+/// empty stack follows its `ecn`.
+impl Codec for Packet {
+    fn put(&self, w: &mut SnapWriter) {
+        let is_ack = matches!(self.kind, PacketKind::Ack { .. });
+        w.put(&self.flow);
+        w.put(&self.src);
+        w.put(&self.dst);
+        w.put(&self.kind);
+        if is_ack {
+            put_hops(w, self.int.hops());
+        }
+        w.put(&self.ecn);
+        put_hops(w, if is_ack { &[] } else { self.int.hops() });
+        w.put(&self.sent_at);
+    }
+    #[inline]
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let (flow, src, dst, kind) = r.get()?;
+        let is_ack = matches!(kind, PacketKind::Ack { .. });
+        let echoed: Option<IntStack> = if is_ack { Some(r.get()?) } else { None };
+        let ecn = r.get()?;
+        let int: IntStack = r.get()?;
+        if is_ack && !int.is_empty() {
+            return Err(SnapshotError::Malformed("ack int stack"));
+        }
+        Ok(Packet {
+            flow,
+            src,
+            dst,
+            kind,
+            ecn,
+            int: echoed.unwrap_or(int),
+            sent_at: r.get()?,
+        })
+    }
+}
 
 impl Codec for FeedbackEvent {
     fn put(&self, w: &mut SnapWriter) {
@@ -1092,7 +1132,9 @@ mod tests {
 
     /// Bytes no `put` writes are refused with a typed error: a bad option
     /// tag, bool or enum tag, a count larger than the bytes behind it, a
-    /// value cut short, an INT stack deeper than a packet can carry.
+    /// value cut short, an INT stack deeper than a packet can carry, an
+    /// ACK with hops in the stack after `ecn` (its hops ride after its
+    /// kind).
     #[test]
     fn malformed_bytes_are_typed_errors() {
         use SnapshotError::{Malformed, Truncated};
@@ -1110,6 +1152,23 @@ mod tests {
         assert_eq!(decode::<(u64, u32)>(&[0; 11]), Err(Truncated));
         let too_deep = [MAX_INT_HOPS as u8 + 1];
         assert_eq!(decode::<IntStack>(&too_deep), Err(Malformed("int stack length")));
+        let mut one_hop = IntStack::new();
+        one_hop.push(IntHop::default());
+        let mut ack_hops_after_ecn = SnapWriter::new();
+        ack_hops_after_ecn.put(&(FlowId(1), NodeId(2), NodeId(3)));
+        ack_hops_after_ecn.put(&PacketKind::Ack {
+            cum_seq: 5,
+            ecn_echo: false,
+            data_tx_time: SimTime::ZERO,
+        });
+        ack_hops_after_ecn.put(&IntStack::new());
+        ack_hops_after_ecn.put(&false);
+        ack_hops_after_ecn.put(&one_hop);
+        ack_hops_after_ecn.put(&SimTime::ZERO);
+        assert_eq!(
+            decode::<Packet>(&ack_hops_after_ecn.into_bytes()),
+            Err(Malformed("ack int stack"))
+        );
         let not_utf8 = [&1u64.to_le_bytes()[..], &[0xff]].concat();
         assert_eq!(decode::<String>(&not_utf8), Err(Malformed("utf8 string")));
     }
@@ -1131,10 +1190,9 @@ mod tests {
                 cum_seq: 4096,
                 ecn_echo: true,
                 data_tx_time: SimTime::from_nanos(777),
-                int,
             },
             ecn: false,
-            int: IntStack::new(),
+            int,
             sent_at: SimTime::from_nanos(999),
         };
         let fb = FeedbackEvent::RoccCnp {
@@ -1221,8 +1279,8 @@ mod tests {
         vector(&pkt(PacketKind::Data { seq: 0x05, payload: 0x06, last: true }, int), "010000000000000002000000000000000300000000000000000500000000000000060000000000000001010111000000000000001200000000000000130000000000000014000000000000000400000000000000");
         vector(
             &pkt(
-                PacketKind::Ack { cum_seq: 0x05, ecn_echo: true, data_tx_time: t, int },
-                IntStack::new(),
+                PacketKind::Ack { cum_seq: 0x05, ecn_echo: true, data_tx_time: t },
+                int,
             ),
             "010000000000000002000000000000000300000000000000010500000000000000010c0000000000000001110000000000000012000000000000001300000000000000140000000000000001000400000000000000",
         );
