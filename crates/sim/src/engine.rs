@@ -5,10 +5,10 @@
 //! instant are ordered by insertion sequence number, making every run
 //! bit-for-bit deterministic for a given seed.
 //!
-//! Packets in flight live in the kernel's [`PacketSlab`]; the dominant
-//! `Arrive` event carries a 4-byte [`PacketRef`] instead of the ~560-byte
-//! `Packet` itself, so every scheduler move shifts a small fixed-size key
-//! (see DESIGN.md §3e).
+//! Packets in flight live in the kernel's [`PacketSlab`] as 72-byte heads;
+//! the dominant `Arrive` event carries a 4-byte [`PacketRef`] instead of
+//! the 336-byte `Packet` itself, so every scheduler move shifts a small
+//! fixed-size key (see DESIGN.md §3e).
 
 use crate::cc::{FeedbackEvent, HostCcFactory, SwitchCcFactory};
 use crate::config::SimConfig;
@@ -1310,9 +1310,8 @@ impl Sim {
                             // arrives alongside the original. The clone is
                             // fresh wire bytes from the ledger's view.
                             self.trace.faults.duplicated += 1;
-                            let copy = *self.kernel.packets.get(pr);
-                            self.kernel.san.inject(copy.wire_bytes());
-                            let dup = self.kernel.packets.alloc(copy);
+                            let dup = self.kernel.packets.duplicate(pr);
+                            self.kernel.san.inject(self.kernel.packets.get(dup).wire_bytes());
                             let now = self.kernel.now;
                             self.kernel.schedule(now, Event::Arrive { link, pr: dup });
                             // The original falls through to normal delivery.

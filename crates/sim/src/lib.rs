@@ -116,7 +116,7 @@ pub mod prelude {
         PauseCycleNode, PauseReport, RunVerdict, Sanitizer, SanitizerReport, SimError,
     };
     pub use crate::sched::{SchedStats, Scheduled, TimingWheel, WHEEL_LEVELS};
-    pub use crate::slab::{PacketRef, PacketSlab};
+    pub use crate::slab::{PacketHead, PacketRef, PacketSlab};
     pub use crate::snapshot::{
         config_digest, inspect, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC,
     };

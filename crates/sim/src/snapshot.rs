@@ -43,7 +43,7 @@ use crate::config::SimConfig;
 use crate::engine::Event;
 use crate::fault::FaultEvent;
 use crate::packet::{CpId, FlowId, IntHop, IntStack, Packet, PacketKind, MAX_INT_HOPS};
-use crate::slab::PacketRef;
+use crate::slab::{PacketHead, PacketRef};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PortId};
 use crate::units::BitRate;
@@ -722,23 +722,29 @@ impl Codec for PacketKind {
     }
 }
 
-/// `flow`, `src`, `dst`, `kind`, `ecn`, the INT stack, `sent_at` — except
-/// that an ACK's stack follows its kind's fields, where `PacketKind::Ack`
-/// carried the echoed stack when `rocc-snapshot/v4` was pinned, and an
-/// empty stack follows its `ecn`.
+/// One packet, as [`Packet`]'s codec and every slab slot write it: `flow`,
+/// `src`, `dst`, `kind`, `ecn`, the INT stack, `sent_at` — except that an
+/// ACK's stack follows its kind's fields, where `PacketKind::Ack` carried
+/// the echoed stack when `rocc-snapshot/v4` was pinned, and an empty stack
+/// follows its `ecn`.
+pub(crate) fn put_packet(w: &mut SnapWriter, head: &PacketHead, hops: &[IntHop]) {
+    let is_ack = matches!(head.kind, PacketKind::Ack { .. });
+    w.put(&head.flow);
+    w.put(&head.src);
+    w.put(&head.dst);
+    w.put(&head.kind);
+    if is_ack {
+        put_hops(w, hops);
+    }
+    w.put(&head.ecn);
+    put_hops(w, if is_ack { &[] } else { hops });
+    w.put(&head.sent_at);
+}
+
+/// See [`put_packet`].
 impl Codec for Packet {
     fn put(&self, w: &mut SnapWriter) {
-        let is_ack = matches!(self.kind, PacketKind::Ack { .. });
-        w.put(&self.flow);
-        w.put(&self.src);
-        w.put(&self.dst);
-        w.put(&self.kind);
-        if is_ack {
-            put_hops(w, self.int.hops());
-        }
-        w.put(&self.ecn);
-        put_hops(w, if is_ack { &[] } else { self.int.hops() });
-        w.put(&self.sent_at);
+        put_packet(w, &PacketHead::of(self), self.int.hops());
     }
     #[inline]
     fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {

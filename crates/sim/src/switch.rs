@@ -523,11 +523,8 @@ impl Switch {
                         // INT stamping grows the frame in flight; the added
                         // telemetry bytes enter the wire here, so the
                         // conservation ledger books them as injected.
-                        let pkt = k.packets.get_mut(qp.pr);
-                        let before = pkt.wire_bytes();
-                        pkt.int.push(h);
-                        let after = pkt.wire_bytes();
-                        k.san.inject(after - before);
+                        k.packets.push_hop(qp.pr, h);
+                        k.san.inject(k.packets.get(qp.pr).wire_bytes() - wire);
                     }
                     self.publish_cc_events(k, trace, p, events);
                     self.inject_feedback(k, topo, trace, emits);
