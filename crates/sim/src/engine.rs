@@ -32,6 +32,7 @@ use crate::trace::Trace;
 use crate::units::BitRate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::hash_map::Entry;
 
 /// Everything that can happen.
 #[derive(Debug, Clone)]
@@ -263,20 +264,36 @@ pub struct FlowSpec {
     pub offered: Option<BitRate>,
 }
 
-/// Flow metadata retained for the whole run (FCT bookkeeping, receiver
-/// lookups).
-#[derive(Debug, Clone, Copy)]
-pub struct FlowMeta {
-    /// Source host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// Bytes to transfer.
-    pub size: u64,
-    /// Activation time.
-    pub start: SimTime,
-    /// Offered-rate cap.
-    pub offered: Option<BitRate>,
+/// The registered flows, each stored once: the list in registration order
+/// (a `FlowStart` event carries a position in it) and, by id, each flow's
+/// position (FCT bookkeeping, receiver and source lookups).
+#[derive(Default)]
+pub(crate) struct FlowDir {
+    flows: Vec<FlowSpec>,
+    index: FxHashMap<FlowId, usize>,
+}
+
+impl FlowDir {
+    /// Append `spec`; returns its position. Panics on a duplicate id.
+    fn insert(&mut self, spec: FlowSpec) -> usize {
+        let idx = self.flows.len();
+        match self.index.entry(spec.id) {
+            Entry::Occupied(_) => panic!("duplicate flow id {:?}", spec.id),
+            Entry::Vacant(v) => v.insert(idx),
+        };
+        self.flows.push(spec);
+        idx
+    }
+
+    /// The flow registered as `id`.
+    pub(crate) fn get(&self, id: FlowId) -> Option<&FlowSpec> {
+        self.index.get(&id).map(|&i| &self.flows[i])
+    }
+
+    /// Registered flows.
+    pub(crate) fn len(&self) -> usize {
+        self.flows.len()
+    }
 }
 
 /// One slot per node for the whole run, indexed by [`NodeId`]; the size gap
@@ -343,7 +360,7 @@ fn audit_view<'a>(
     kernel: &'a Kernel,
     topo: &'a Topology,
     nodes: &'a [NodeSlot],
-    flow_dir: &'a FxHashMap<FlowId, FlowMeta>,
+    flow_dir: &'a FlowDir,
 ) -> AuditView<'a> {
     AuditView {
         now: kernel.now,
@@ -366,8 +383,7 @@ pub struct Sim {
     nodes: Vec<NodeSlot>,
     /// Collected instrumentation.
     pub trace: Trace,
-    flows: Vec<FlowSpec>,
-    flow_dir: FxHashMap<FlowId, FlowMeta>,
+    flow_dir: FlowDir,
     /// Registered finite flows (size < `u64::MAX`), maintained by
     /// `add_flow` so completion detection never rescans the flow list.
     finite_flows: u64,
@@ -434,8 +450,7 @@ impl Sim {
             topo,
             nodes,
             trace: Trace::new(),
-            flows: Vec::new(),
-            flow_dir: FxHashMap::default(),
+            flow_dir: FlowDir::default(),
             finite_flows: 0,
             host_cc,
             events_processed: 0,
@@ -493,7 +508,7 @@ impl Sim {
     /// Every registered flow, in registration order (trace exporters,
     /// cross-run analysis).
     pub fn flows(&self) -> &[FlowSpec] {
-        &self.flows
+        &self.flow_dir.flows
     }
 
     /// Self-profiling summary: events processed, wall-clock and simulated
@@ -556,23 +571,7 @@ impl Sim {
     /// be behind the clock (a flow registered mid-run starts at `now` at
     /// the earliest; [`Kernel::schedule`] panics otherwise).
     pub fn add_flow(&mut self, spec: FlowSpec) {
-        assert!(
-            !self.flow_dir.contains_key(&spec.id),
-            "duplicate flow id {:?}",
-            spec.id
-        );
-        self.flow_dir.insert(
-            spec.id,
-            FlowMeta {
-                src: spec.src,
-                dst: spec.dst,
-                size: spec.size,
-                start: spec.start,
-                offered: spec.offered,
-            },
-        );
-        let idx = self.flows.len();
-        self.flows.push(spec);
+        let idx = self.flow_dir.insert(spec);
         if spec.size != u64::MAX {
             self.finite_flows += 1;
         }
@@ -1005,7 +1004,7 @@ impl Sim {
         // the odometers move with the schedule).
         w.section("run");
         w.put(&(
-            self.flows.len(),
+            self.flow_dir.len(),
             self.finite_flows,
             self.stall_run,
             self.sampling_bootstrapped,
@@ -1094,7 +1093,7 @@ impl Sim {
         }
         secs.read("run", |r| {
             let (flows, finite_flows): (usize, u64) = r.get()?;
-            if (flows, finite_flows) != (self.flows.len(), self.finite_flows) {
+            if (flows, finite_flows) != (self.flow_dir.len(), self.finite_flows) {
                 return Err(SnapshotError::Malformed("flow registration differs"));
             }
             (self.stall_run, self.sampling_bootstrapped) = r.get()?;
@@ -1431,8 +1430,7 @@ impl Sim {
                 }
             }
             Event::FlowStart { idx } => {
-                let spec = self.flows[idx];
-                let meta = self.flow_dir[&spec.id];
+                let spec = self.flow_dir.flows[idx];
                 if self.kernel.faults.host_is_down(spec.src) {
                     // A permanently crashed source can never start this flow;
                     // abandon the event instead of re-queueing it forever
@@ -1449,17 +1447,16 @@ impl Sim {
                 if let NodeSlot::Host(h) = &mut self.nodes[spec.src.0] {
                     let line = h.line_rate();
                     let cc = self.host_cc.make(spec.id, line);
-                    h.start_flow(&mut self.kernel, &self.topo, &mut self.trace, spec.id, &meta, cc);
+                    h.start_flow(&mut self.kernel, &self.topo, &mut self.trace, &spec, cc);
                 } else {
                     panic!("flow source {:?} is not a host", spec.src);
                 }
             }
             Event::FlowStop { flow } => {
-                let Some(meta) = self.flow_dir.get(&flow) else {
+                let Some(spec) = self.flow_dir.get(flow) else {
                     return;
                 };
-                let src = meta.src;
-                if let NodeSlot::Host(h) = &mut self.nodes[src.0] {
+                if let NodeSlot::Host(h) = &mut self.nodes[spec.src.0] {
                     h.stop_flow(flow);
                 }
             }
@@ -1575,8 +1572,8 @@ impl Sim {
         // Sender CC rates.
         for i in 0..self.trace.watched_cc_flows().len() {
             let f = self.trace.watched_cc_flows()[i];
-            if let Some(meta) = self.flow_dir.get(&f) {
-                if let NodeSlot::Host(h) = &self.nodes[meta.src.0] {
+            if let Some(spec) = self.flow_dir.get(f) {
+                if let NodeSlot::Host(h) = &self.nodes[spec.src.0] {
                     if let Some(d) = h.cc_rate(f) {
                         self.trace
                             .record_cc_rate(i, now, d.rate.as_bps() as f64);
@@ -1604,8 +1601,8 @@ impl Sim {
                     .unwrap_or(0);
                 let rp_bps = self
                     .flow_dir
-                    .get(&f)
-                    .and_then(|meta| match &self.nodes[meta.src.0] {
+                    .get(f)
+                    .and_then(|spec| match &self.nodes[spec.src.0] {
                         NodeSlot::Host(h) => h.cc_rate(f).map(|d| d.rate.as_bps()),
                         NodeSlot::Switch(_) => None,
                     })

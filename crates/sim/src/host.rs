@@ -6,7 +6,7 @@
 //! the paper).
 
 use crate::cc::{AckEvent, FeedbackEvent, HostCc, HostCcCtx, RateDecision};
-use crate::engine::{Event, FlowMeta, Kernel};
+use crate::engine::{Event, FlowDir, FlowSpec, Kernel};
 use crate::fastmap::FxHashMap;
 use crate::packet::{FlowId, IntStack, Packet, PacketKind};
 use crate::profiler::Phase;
@@ -340,22 +340,22 @@ impl Host {
         k: &mut Kernel,
         topo: &Topology,
         trace: &mut Trace,
-        flow: FlowId,
-        meta: &FlowMeta,
+        spec: &FlowSpec,
         cc: Box<dyn HostCc>,
     ) {
         k.prof.enter(Phase::HostCompute);
-        debug_assert_eq!(meta.src, self.id);
+        debug_assert_eq!(spec.src, self.id);
+        let flow = spec.id;
         self.flows.insert(
             flow,
             SenderFlow {
-                dst: meta.dst,
-                size: meta.size,
+                dst: spec.dst,
+                size: spec.size,
                 next_seq: 0,
                 acked: 0,
                 max_sent: 0,
                 cc,
-                offered: meta.offered,
+                offered: spec.offered,
                 last_tx: None,
                 timer_gen: [0; TIMER_SLOTS],
                 rto_deadline: None,
@@ -777,12 +777,12 @@ impl Host {
     }
 
     /// A packet arrived at this host.
-    pub fn handle_arrive(
+    pub(crate) fn handle_arrive(
         &mut self,
         k: &mut Kernel,
         topo: &Topology,
         trace: &mut Trace,
-        flow_dir: &FxHashMap<FlowId, FlowMeta>,
+        flow_dir: &FlowDir,
         pkt: Packet,
     ) {
         k.prof.enter(Phase::HostCompute);
@@ -1058,7 +1058,7 @@ impl Host {
         k: &mut Kernel,
         topo: &Topology,
         trace: &mut Trace,
-        flow_dir: &FxHashMap<FlowId, FlowMeta>,
+        flow_dir: &FlowDir,
         pkt: &Packet,
         seq: u64,
         payload: u64,
@@ -1092,11 +1092,10 @@ impl Host {
             if last {
                 rf.complete = true;
                 self.open_recv.remove(&pkt.flow);
-                let meta = flow_dir.get(&pkt.flow);
                 trace.note_fct(FctRecord {
                     flow: pkt.flow,
                     size: rf.expected,
-                    start: meta.map(|m| m.start).unwrap_or(SimTime::ZERO),
+                    start: flow_dir.get(pkt.flow).map_or(SimTime::ZERO, |f| f.start),
                     end: k.now,
                 });
             }
@@ -1251,16 +1250,17 @@ mod tests {
             let mut h = Host::new(h0, &topo);
             // Offered rate zero: the TX scheduler never sends on its own, so
             // every data packet is an explicit `Send` op.
-            let meta = FlowMeta {
-                src: h0,
-                dst: h1,
-                size: u64::MAX,
-                start: SimTime::ZERO,
-                offered: Some(BitRate::ZERO),
-            };
             for f in 0..FLOWS {
-                let cc = NullHostCcFactory.make(FlowId(f), h.line_rate());
-                h.start_flow(&mut k, &topo, &mut trace, FlowId(f), &meta, cc);
+                let spec = FlowSpec {
+                    id: FlowId(f),
+                    src: h0,
+                    dst: h1,
+                    size: u64::MAX,
+                    start: SimTime::ZERO,
+                    offered: Some(BitRate::ZERO),
+                };
+                let cc = NullHostCcFactory.make(spec.id, h.line_rate());
+                h.start_flow(&mut k, &topo, &mut trace, &spec, cc);
             }
             Rig {
                 topo,
@@ -1338,7 +1338,7 @@ mod tests {
                 int: IntStack::new(),
                 sent_at: self.k.now,
             };
-            let dir = FxHashMap::default();
+            let dir = FlowDir::default();
             self.h
                 .handle_arrive(&mut self.k, &self.topo, &mut self.trace, &dir, pkt);
         }

@@ -102,7 +102,7 @@ pub mod prelude {
         DivergenceReport, LedgerDivergence, ParsedLedger, WordDiff, DIGEST_LEDGER_SCHEMA,
         DIVERGENCE_REPORT_SCHEMA,
     };
-    pub use crate::engine::{CheckpointSink, Event, FlowMeta, FlowSpec, Kernel, Sim};
+    pub use crate::engine::{CheckpointSink, Event, FlowSpec, Kernel, Sim};
     pub use crate::fastmap::{FxHashMap, FxHashSet, FxHasher};
     pub use crate::fault::{
         FaultDecision, FaultEvent, FaultPlan, FaultState, FaultTarget, HostFault, HostFaultKind,

@@ -54,7 +54,7 @@
 //! once an invariant violation or a confirmed pause deadlock is observed.
 
 use crate::config::{BufferMode, SimConfig};
-use crate::engine::{Event, FlowMeta, NodeSlot};
+use crate::engine::{Event, FlowDir, NodeSlot};
 use crate::fault::FaultState;
 use crate::fastmap::{map_with_capacity, FxHashMap};
 use crate::host::{Host, ReceiverAudit, RTO_TOKEN};
@@ -196,7 +196,7 @@ pub struct AuditView<'a> {
     pub(crate) nodes: &'a [NodeSlot],
     /// Registered flows (a completed flow's receiver is found through its
     /// destination here).
-    pub(crate) flow_dir: &'a FxHashMap<FlowId, FlowMeta>,
+    pub(crate) flow_dir: &'a FlowDir,
     /// The conservation ledger.
     pub ledger: &'a SanLedger,
     /// The wire-packet slab (switch queues hold refs into it; audits
@@ -1243,7 +1243,7 @@ impl Sanitizer {
         // cross-checks — from the first record on).
         let checked = if sweep { 0 } else { self.fcts_checked(&trace.fcts) };
         for rec in &trace.fcts[checked..] {
-            let dst = view.flow_dir.get(&rec.flow).and_then(|m| view.host(m.dst));
+            let dst = view.flow_dir.get(rec.flow).and_then(|f| view.host(f.dst));
             match dst.and_then(|h| h.audit_receiver(rec.flow)) {
                 Some(r) => {
                     if !sweep {
