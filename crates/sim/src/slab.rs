@@ -117,7 +117,7 @@ impl PacketSlab {
     pub fn alloc(&mut self, pkt: Packet) -> PacketRef {
         let pr = self.place(PacketHead::of(&pkt));
         if !pkt.int.is_empty() {
-            self.hop_slot(pr)[..pkt.int.len()].copy_from_slice(pkt.int.hops());
+            self.set_hops(pr, pkt.int.hops());
         }
         pr
     }
@@ -146,9 +146,21 @@ impl PacketSlab {
     fn hop_slot(&mut self, pr: PacketRef) -> &mut [IntHop; MAX_INT_HOPS] {
         let i = pr.0 as usize;
         if self.hops.len() <= i {
-            self.hops.resize(i + 1, [IntHop::default(); MAX_INT_HOPS]);
+            self.grow_hops(i + 1);
         }
         &mut self.hops[i]
+    }
+
+    #[cold]
+    fn grow_hops(&mut self, slots: usize) {
+        self.hops.resize(slots, [IntHop::default(); MAX_INT_HOPS]);
+    }
+
+    /// Out of line: only INT-carrying packets get here, and `alloc` stays
+    /// small for the rest.
+    #[inline(never)]
+    fn set_hops(&mut self, pr: PacketRef, hops: &[IntHop]) {
+        self.hop_slot(pr)[..hops.len()].copy_from_slice(hops);
     }
 
     /// Slot `i`'s valid hop records.
@@ -195,6 +207,7 @@ impl PacketSlab {
     }
 
     /// Slot `i` as a [`Packet`].
+    #[inline]
     fn packet(&self, i: usize) -> Packet {
         let h = &self.heads[i];
         let mut int = IntStack::new();
@@ -276,8 +289,7 @@ impl Codec for PacketSlab {
             let pkt: Packet = r.get()?;
             slab.heads.push(PacketHead::of(&pkt));
             if !pkt.int.is_empty() {
-                slab.hop_slot(PacketRef(i as u32))[..pkt.int.len()]
-                    .copy_from_slice(pkt.int.hops());
+                slab.set_hops(PacketRef(i as u32), pkt.int.hops());
             }
         }
         slab.free = r.get()?;
