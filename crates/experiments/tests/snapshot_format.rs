@@ -13,10 +13,17 @@
 //! observatory and all five trace watch kinds (chaos); INT stacks in
 //! flight on packets and ACKs (HPCC); QCN feedback frames in flight and
 //! their feedback events queued (QCN).
+//!
+//! Every other scheme's controller words are pinned by a mid-run incast
+//! of its own: DCQCN, DCQCN+PI, TIMELY, TIMELY+patch and no CC at all,
+//! RoCC with host-computed rates (per-CP calculator replicas at the
+//! senders), and RoCC with the bounded-age and the sampling flow table.
 
 use rocc_experiments::diverge::scenario_sim;
 use rocc_experiments::micro::sim_with;
 use rocc_experiments::{scenarios, Scale, Scheme};
+use rocc_core::{FlowTablePolicy, HostCalcRoccFactory, RoccHostCcFactory, RoccSwitchCcFactory};
+use rocc_sim::cc::{HostCcFactory, SwitchCcFactory};
 use rocc_sim::prelude::*;
 use rocc_stats::digest::fnv1a_64;
 
@@ -81,6 +88,29 @@ fn incast(scheme: Scheme, n: usize, seed: u64) -> Sim {
     sim
 }
 
+/// [`incast`] under an explicit factory pair.
+fn incast_with(
+    h: Box<dyn HostCcFactory>,
+    s: Box<dyn SwitchCcFactory>,
+    n: usize,
+    seed: u64,
+) -> Sim {
+    let d = scenarios::dumbbell(n, BitRate::from_gbps(40));
+    let cfg = SimConfig { seed, ..SimConfig::default() };
+    let mut sim = Sim::new(d.topo, cfg, h, s);
+    for (i, &src) in d.senders.iter().enumerate() {
+        sim.add_flow(FlowSpec {
+            id: FlowId(i as u64),
+            src,
+            dst: d.receiver,
+            size: 400_000,
+            start: SimTime::ZERO,
+            offered: None,
+        });
+    }
+    sim
+}
+
 #[test]
 fn rocc_chaos_with_everything_on() {
     check(
@@ -112,4 +142,89 @@ fn qcn_incast_with_feedback_in_flight() {
         (6_000, 126_075, 0x3634_e6fe_30e8_af71),
     ];
     check("qcn", build(), build, pins);
+}
+
+#[test]
+fn dcqcn_incast_with_rates_cut() {
+    let build = || incast(Scheme::Dcqcn, 8, 11);
+    let pins = [(6_000, 109_640, 0x67bc_563d_f081_3425), (20_000, 135_292, 0xe118_dfb7_9c98_8f7d)];
+    check("dcqcn", build(), build, pins);
+}
+
+#[test]
+fn dcqcn_pi_incast_with_marking_probability_up() {
+    let build = || incast(Scheme::DcqcnPi, 8, 13);
+    let pins = [(6_000, 136_081, 0xd723_1889_c8c4_2ddc), (20_000, 174_886, 0xc09f_b04d_114a_5c24)];
+    check("dcqcn+pi", build(), build, pins);
+}
+
+#[test]
+fn timely_incast_with_rtt_gradient() {
+    let build = || incast(Scheme::Timely, 8, 17);
+    let pins = [(6_000, 115_288, 0x5a3a_e029_dd76_cbb2), (20_000, 125_689, 0x5036_4bd9_81a8_02e4)];
+    check("timely", build(), build, pins);
+}
+
+#[test]
+fn timely_patched_incast() {
+    let build = || incast(Scheme::TimelyPatched, 8, 19);
+    let pins = [(6_000, 135_513, 0xf384_750e_099a_25d6), (20_000, 173_798, 0xa5d3_53f6_062d_050c)];
+    check("timely+patch", build(), build, pins);
+}
+
+#[test]
+fn no_cc_incast() {
+    let build = || incast(Scheme::None, 8, 23);
+    let pins = [(6_000, 135_129, 0xfd23_4e75_4253_1759), (20_000, 173_017, 0x796d_8b0b_14d2_99ed)];
+    check("none", build(), build, pins);
+}
+
+#[test]
+fn rocc_host_computed_incast_with_replicas() {
+    let build = || {
+        incast_with(
+            Box::new(HostCalcRoccFactory::default()),
+            Box::new(RoccSwitchCcFactory::new().host_computed()),
+            8,
+            29,
+        )
+    };
+    let pins = [(6_000, 132_619, 0x4bf7_8aa2_5dea_dd79), (20_000, 117_740, 0x29bf_6b4e_2ac0_6509)];
+    check("rocc host-computed", build(), build, pins);
+}
+
+#[test]
+fn rocc_bounded_age_table_incast() {
+    let build = || {
+        let policy = FlowTablePolicy::BoundedAge {
+            capacity: 6,
+            idle_timeout_ns: 50_000,
+        };
+        incast_with(
+            Box::new(RoccHostCcFactory::new()),
+            Box::new(RoccSwitchCcFactory::new().with_policy(policy)),
+            8,
+            31,
+        )
+    };
+    let pins = [(6_000, 132_823, 0xfb17_e49a_c34d_32cd), (20_000, 124_282, 0xe570_4810_d57a_197b)];
+    check("rocc bounded-age", build(), build, pins);
+}
+
+#[test]
+fn rocc_sampling_table_incast() {
+    let build = || {
+        let policy = FlowTablePolicy::Sampling {
+            capacity: 6,
+            sample_prob: 0.25,
+        };
+        incast_with(
+            Box::new(RoccHostCcFactory::new()),
+            Box::new(RoccSwitchCcFactory::new().with_policy(policy)),
+            8,
+            37,
+        )
+    };
+    let pins = [(6_000, 132_823, 0xbdb3_969f_8a30_6207), (20_000, 124_743, 0xca1b_68c2_3461_df62)];
+    check("rocc sampling", build(), build, pins);
 }
