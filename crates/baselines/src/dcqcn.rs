@@ -71,12 +71,10 @@ impl SwitchCc for DcqcnSwitchCc {
         let p = self.red.mark_probability(ctx.qlen_bytes);
         p > 0.0 && ctx.rng.gen::<f64>() < p
     }
-
-    // RED is memoryless: `red` is configuration, no dynamic state.
-    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
-
-    fn restore_state(&mut self, _state: &[u64]) {}
 }
+
+// RED is memoryless: `red` is configuration, no dynamic state.
+rocc_sim::cc_state!(DcqcnSwitchCc {});
 
 /// Factory for [`DcqcnSwitchCc`] with per-port thresholds from line rate.
 #[derive(Debug, Default, Clone, Copy)]
@@ -260,33 +258,12 @@ impl HostCc for DcqcnHostCc {
             }
         }
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.rc.as_bps());
-        out.push(self.rt.as_bps());
-        out.push(self.alpha.to_bits());
-        match self.last_cnp {
-            None => out.extend_from_slice(&[0, 0]),
-            Some(t) => out.extend_from_slice(&[1, t.as_nanos()]),
-        }
-        out.push(self.t_count as u64);
-        out.push(self.bc_count as u64);
-        out.push(self.bytes_since_increase);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let [rc, rt, alpha, has_cnp, cnp_ns, t_count, bc_count, bytes] = state else {
-            return; // digest-verified upstream; short input is a no-op
-        };
-        self.rc = BitRate::from_bps(*rc);
-        self.rt = BitRate::from_bps(*rt);
-        self.alpha = f64::from_bits(*alpha);
-        self.last_cnp = (*has_cnp != 0).then(|| SimTime::from_nanos(*cnp_ns));
-        self.t_count = *t_count as u32;
-        self.bc_count = *bc_count as u32;
-        self.bytes_since_increase = *bytes;
-    }
 }
+
+// `p` and `r_max` are configuration.
+rocc_sim::cc_state!(DcqcnHostCc {
+    rc, rt, alpha, last_cnp, t_count, bc_count, bytes_since_increase
+});
 
 /// Factory for [`DcqcnHostCc`].
 #[derive(Debug, Clone, Copy, Default)]

@@ -80,20 +80,10 @@ impl SwitchCc for PiMarkingSwitchCc {
     fn on_enqueue(&mut self, ctx: &mut SwitchCcCtx<'_>, _pkt: PacketMeta) -> bool {
         self.prob > 0.0 && ctx.rng.gen::<f64>() < self.prob
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.prob.to_bits());
-        out.push(self.q_old);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let [prob, q_old] = state else {
-            return; // digest-verified upstream; short input is a no-op
-        };
-        self.prob = f64::from_bits(*prob);
-        self.q_old = *q_old;
-    }
 }
+
+// `p` is configuration.
+rocc_sim::cc_state!(PiMarkingSwitchCc { prob, q_old });
 
 /// Factory for [`PiMarkingSwitchCc`].
 #[derive(Debug, Default, Clone, Copy)]

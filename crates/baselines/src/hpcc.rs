@@ -61,12 +61,10 @@ impl SwitchCc for HpccSwitchCc {
             rate: ctx.link_rate,
         })
     }
-
-    // INT stamping reads the port, keeps nothing: no state.
-    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
-
-    fn restore_state(&mut self, _state: &[u64]) {}
 }
+
+// INT stamping reads the port, keeps nothing: no state.
+rocc_sim::cc_state!(HpccSwitchCc {});
 
 /// Factory for [`HpccSwitchCc`].
 #[derive(Debug, Default, Clone, Copy)]
@@ -85,6 +83,8 @@ struct HopRef {
     ts_ns: u64,
     valid: bool,
 }
+
+rocc_sim::cc_state!(HopRef { tx_bytes, ts_ns, valid });
 
 /// HPCC's per-flow sender state.
 pub struct HpccHostCc {
@@ -184,36 +184,10 @@ impl HostCc for HpccHostCc {
         let w_cap = self.r_max.bytes_over(self.p.base_rtt) as f64 * 2.0;
         self.w = self.w.clamp(1500.0, w_cap);
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.w.to_bits());
-        out.push(self.wc.to_bits());
-        out.push(self.inc_stage as u64);
-        out.push(self.last_update_seq);
-        for r in &self.hop_ref {
-            out.push(r.tx_bytes);
-            out.push(r.ts_ns);
-            out.push(r.valid as u64);
-        }
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        if state.len() != 4 + self.hop_ref.len() * 3 {
-            return; // digest-verified upstream; short input is a no-op
-        }
-        self.w = f64::from_bits(state[0]);
-        self.wc = f64::from_bits(state[1]);
-        self.inc_stage = state[2] as u32;
-        self.last_update_seq = state[3];
-        for (r, c) in self.hop_ref.iter_mut().zip(state[4..].chunks_exact(3)) {
-            *r = HopRef {
-                tx_bytes: c[0],
-                ts_ns: c[1],
-                valid: c[2] != 0,
-            };
-        }
-    }
 }
+
+// `p` and `r_max` are configuration.
+rocc_sim::cc_state!(HpccHostCc { w, wc, inc_stage, last_update_seq, hop_ref });
 
 /// Factory for [`HpccHostCc`].
 #[derive(Debug, Clone, Copy, Default)]

@@ -92,20 +92,10 @@ impl SwitchCc for QcnSwitchCc {
         }
         false // QCN does not use ECN
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.q_old);
-        out.push(self.bytes_until_sample);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let [q_old, bytes_until_sample] = state else {
-            return; // digest-verified upstream; short input is a no-op
-        };
-        self.q_old = *q_old;
-        self.bytes_until_sample = *bytes_until_sample;
-    }
 }
+
+// `p` and `cp` are configuration.
+rocc_sim::cc_state!(QcnSwitchCc { q_old, bytes_until_sample });
 
 /// Factory for [`QcnSwitchCc`].
 #[derive(Debug, Default, Clone, Copy)]
@@ -221,24 +211,10 @@ impl HostCc for QcnHostCc {
             ctx.set_timer(STAGE_TOKEN, self.p.stage_timer);
         }
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.rc.as_bps());
-        out.push(self.rt.as_bps());
-        out.push(self.stage as u64);
-        out.push(self.bytes_in_stage);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let [rc, rt, stage, bytes_in_stage] = state else {
-            return; // digest-verified upstream; short input is a no-op
-        };
-        self.rc = BitRate::from_bps(*rc);
-        self.rt = BitRate::from_bps(*rt);
-        self.stage = *stage as u32;
-        self.bytes_in_stage = *bytes_in_stage;
-    }
 }
+
+// `p` and `r_max` are configuration.
+rocc_sim::cc_state!(QcnHostCc { rc, rt, stage, bytes_in_stage });
 
 /// Factory for [`QcnHostCc`].
 #[derive(Debug, Clone, Copy, Default)]

@@ -170,29 +170,12 @@ impl HostCc for TimelyHostCc {
             self.update(ack.rtt);
         }
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.rate.as_bps());
-        match self.prev_rtt {
-            None => out.extend_from_slice(&[0, 0]),
-            Some(rtt) => out.extend_from_slice(&[1, rtt.as_nanos()]),
-        }
-        out.push(self.rtt_diff_ns.to_bits());
-        out.push(self.neg_gradient_streak as u64);
-        out.push(self.bytes_since_update);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let [rate, has_rtt, rtt_ns, rtt_diff, streak, bytes] = state else {
-            return; // digest-verified upstream; short input is a no-op
-        };
-        self.rate = BitRate::from_bps(*rate);
-        self.prev_rtt = (*has_rtt != 0).then(|| SimDuration::from_nanos(*rtt_ns));
-        self.rtt_diff_ns = f64::from_bits(*rtt_diff);
-        self.neg_gradient_streak = *streak as u32;
-        self.bytes_since_update = *bytes;
-    }
 }
+
+// `p` and `r_max` are configuration.
+rocc_sim::cc_state!(TimelyHostCc {
+    rate, prev_rtt, rtt_diff_ns, neg_gradient_streak, bytes_since_update
+});
 
 /// Factory for [`TimelyHostCc`].
 #[derive(Debug, Clone, Copy, Default)]

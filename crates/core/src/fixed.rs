@@ -20,6 +20,9 @@ pub const ONE_RAW: i64 = 1 << FRAC_BITS;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Fx(i64);
 
+// Snapshot word: the raw register bits.
+rocc_sim::cc_state!(Fx { 0 });
+
 impl Fx {
     /// Zero.
     pub const ZERO: Fx = Fx(0);
@@ -59,12 +62,6 @@ impl Fx {
     /// Raw representation (tests).
     pub const fn raw(self) -> i64 {
         self.0
-    }
-
-    /// Rebuild from a raw representation captured with [`Fx::raw`]
-    /// (exact checkpoint/restore of register state).
-    pub const fn from_raw(raw: i64) -> Fx {
-        Fx(raw)
     }
 
     /// Multiply by an integer, saturating (hardware-register semantics).

@@ -18,6 +18,7 @@
 //! policies (the paper notes selective feedback trades stability margin
 //! for state).
 
+use rocc_sim::cc::CcState;
 use rocc_sim::prelude::{FlowId, NodeId, SimTime};
 use std::collections::HashMap;
 
@@ -30,8 +31,9 @@ pub struct FlowEntry {
     pub src: NodeId,
 }
 
-/// The CP's view of which flows should receive feedback.
-pub trait FlowTable {
+/// The CP's view of which flows should receive feedback. Its
+/// [`CcState`] is the table's contents, part of the CP's snapshot words.
+pub trait FlowTable: CcState {
     /// A data packet of `flow` (from `src`) was enqueued.
     fn on_enqueue(&mut self, now: SimTime, flow: FlowId, src: NodeId, rand01: f64);
 
@@ -48,37 +50,6 @@ pub trait FlowTable {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Append the table's dynamic state as plain words for the engine
-    /// snapshot layer (entry count, then entries sorted by flow id).
-    /// Stateless tables keep the default no-op.
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        let _ = out;
-    }
-
-    /// Restore state captured by [`FlowTable::snapshot_state`]. Short or
-    /// malformed input leaves the table unchanged — the engine verifies
-    /// snapshot digests before this is ever reached.
-    fn restore_state(&mut self, state: &[u64]) {
-        let _ = state;
-    }
-}
-
-/// Decode the `(count, triples...)` layout shared by all three tables,
-/// calling `insert` once per `(flow, a, b)` triple. Returns false (leaving
-/// the caller's map untouched) when the input is short.
-fn read_triples(state: &[u64], mut insert: impl FnMut(u64, u64, u64)) -> bool {
-    let Some((&n, rest)) = state.split_first() else {
-        return false;
-    };
-    let n = n as usize;
-    if rest.len() < n * 3 {
-        return false;
-    }
-    for c in rest[..n * 3].chunks_exact(3) {
-        insert(c[0], c[1], c[2]);
-    }
-    true
 }
 
 /// Default policy: flows with at least one packet currently queued.
@@ -127,29 +98,9 @@ impl FlowTable for InQueueTable {
     fn len(&self) -> usize {
         self.counts.len()
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.counts.len() as u64);
-        let mut rows: Vec<_> = self
-            .counts
-            .iter()
-            .map(|(&flow, &(count, src))| (flow.0, count as u64, src.0 as u64))
-            .collect();
-        rows.sort_unstable();
-        for (flow, count, src) in rows {
-            out.extend_from_slice(&[flow, count, src]);
-        }
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let mut counts = HashMap::new();
-        if read_triples(state, |flow, count, src| {
-            counts.insert(FlowId(flow), (count as u32, NodeId(src as usize)));
-        }) {
-            self.counts = counts;
-        }
-    }
 }
+
+rocc_sim::cc_state!(InQueueTable { counts });
 
 /// Bounded table with age-based eviction: RoCC's Fmin bounds concurrent
 /// congesting flows by Fmax/Fmin, so a table of that size suffices; the
@@ -209,32 +160,10 @@ impl FlowTable for BoundedAgeTable {
     fn len(&self) -> usize {
         self.entries.len()
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.entries.len() as u64);
-        let mut rows: Vec<_> = self
-            .entries
-            .iter()
-            .map(|(&flow, &(src, seen))| (flow.0, src.0 as u64, seen.as_nanos()))
-            .collect();
-        rows.sort_unstable();
-        for (flow, src, seen) in rows {
-            out.extend_from_slice(&[flow, src, seen]);
-        }
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let mut entries = HashMap::new();
-        if read_triples(state, |flow, src, seen| {
-            entries.insert(
-                FlowId(flow),
-                (NodeId(src as usize), SimTime::from_nanos(seen)),
-            );
-        }) {
-            self.entries = entries;
-        }
-    }
 }
+
+// `capacity` and `idle_timeout_ns` are configuration.
+rocc_sim::cc_state!(BoundedAgeTable { entries });
 
 /// Sampling table in the ElephantTrap/BubbleCache spirit: sample arriving
 /// packets with probability `p`; sampled flows bump a frequency counter;
@@ -308,29 +237,10 @@ impl FlowTable for SamplingTable {
     fn len(&self) -> usize {
         self.entries.len()
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.entries.len() as u64);
-        let mut rows: Vec<_> = self
-            .entries
-            .iter()
-            .map(|(&flow, &(src, freq))| (flow.0, src.0 as u64, freq as u64))
-            .collect();
-        rows.sort_unstable();
-        for (flow, src, freq) in rows {
-            out.extend_from_slice(&[flow, src, freq]);
-        }
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let mut entries = HashMap::new();
-        if read_triples(state, |flow, src, freq| {
-            entries.insert(FlowId(flow), (NodeId(src as usize), freq as u32));
-        }) {
-            self.entries = entries;
-        }
-    }
 }
+
+// `capacity` and `sample_prob` are configuration.
+rocc_sim::cc_state!(SamplingTable { entries });
 
 /// Which flow-table policy a RoCC switch uses.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -152,28 +152,10 @@ impl HostCc for RoccHostCc {
             });
         }
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.r_cur.as_bps());
-        out.push(self.installed as u64);
-        match self.cp_cur {
-            None => out.extend_from_slice(&[0, 0, 0]),
-            Some(cp) => out.extend_from_slice(&[1, cp.node.0 as u64, cp.port.0 as u64]),
-        }
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let [r_cur, installed, has_cp, node, port] = state else {
-            return; // digest-verified upstream; short input is a no-op
-        };
-        self.r_cur = BitRate::from_bps(*r_cur);
-        self.installed = *installed != 0;
-        self.cp_cur = (*has_cp != 0).then_some(CpId {
-            node: rocc_sim::prelude::NodeId(*node as usize),
-            port: rocc_sim::prelude::PortId(*port as usize),
-        });
-    }
 }
+
+// `p` and `r_max` are configuration.
+rocc_sim::cc_state!(RoccHostCc { r_cur, installed, cp_cur });
 
 /// Factory installing [`RoccHostCc`] on every flow.
 #[derive(Debug, Clone, Default)]

@@ -135,23 +135,11 @@ impl SwitchCc for RoccSwitchCc {
         self.table.on_dequeue(ctx.now, pkt.flow);
         None // RoCC does not stamp INT
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        // Fixed-width calculator words first so restore can split without
-        // a length prefix; the flow table self-describes its length.
-        self.calc.snapshot_state(out);
-        self.table.snapshot_state(out);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        let n = FairRateCalculator::STATE_WORDS;
-        if state.len() < n {
-            return;
-        }
-        self.calc.restore_state(&state[..n]);
-        self.table.restore_state(&state[n..]);
-    }
 }
+
+// The calculator's words, then the flow table's; `cp`, `mode` and the
+// scratch buffer are configuration or per-tick.
+rocc_sim::cc_state!(RoccSwitchCc { calc, table });
 
 /// Factory installing [`RoccSwitchCc`] on every switch egress port, with
 /// parameters derived from each port's line rate (paper §6 profiles) unless

@@ -96,6 +96,13 @@ pub enum SnapshotError {
     Malformed(&'static str),
 }
 
+/// A controller's words that do not decode make the snapshot malformed.
+impl From<crate::cc::CcStateError> for SnapshotError {
+    fn from(e: crate::cc::CcStateError) -> Self {
+        SnapshotError::Malformed(e.0)
+    }
+}
+
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

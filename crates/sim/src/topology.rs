@@ -13,11 +13,11 @@ use crate::units::BitRate;
 use std::collections::VecDeque;
 
 /// Index of a node (host or switch) in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
 /// Index of a port local to one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PortId(pub usize);
 
 /// Index of a unidirectional link.

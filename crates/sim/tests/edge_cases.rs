@@ -92,12 +92,10 @@ impl HostCc for OnePacketWindow {
                                    // still admit one when nothing in flight
         }
     }
-
-    // A constant decision: no state.
-    fn snapshot_state(&self, _out: &mut Vec<u64>) {}
-
-    fn restore_state(&mut self, _state: &[u64]) {}
 }
+
+// A constant decision: no state.
+rocc_sim::cc_state!(OnePacketWindow {});
 
 struct OnePacketWindowFactory;
 
@@ -161,16 +159,10 @@ impl HostCc for CountingTimerCc {
         }
         // After 3 fires: not re-armed → no further events.
     }
-
-    // `fires` is the test's shared counter, not controller state.
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.armed as u64);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.armed = state == [1];
-    }
 }
+
+// `fires` is the test's shared counter, not controller state.
+rocc_sim::cc_state!(CountingTimerCc { armed });
 
 struct CountingTimerFactory(u8, Arc<AtomicU64>);
 

@@ -7,6 +7,11 @@
 //! auto-tuning) — runs it against RoCC on the same scenario, and shows
 //! why the paper's control loop earns its complexity.
 //!
+//! A scheme's snapshot layout is one list of its dynamic fields, given to
+//! `cc_state!`: the same list writes the words into an engine checkpoint
+//! and reads them back, strictly — a stream written by another
+//! controller is refused rather than half-applied.
+//!
 //! ```text
 //! cargo run --release --example custom_scheme
 //! cargo test --example custom_scheme     # its state survives a checkpoint
@@ -14,8 +19,8 @@
 
 use rocc::core::{RoccHostCcFactory, RoccSwitchCcFactory};
 use rocc::sim::cc::{
-    CtrlEmit, FeedbackEvent, HostCc, HostCcCtx, HostCcFactory, PacketMeta, RateDecision,
-    SwitchCc, SwitchCcCtx, SwitchCcFactory,
+    cc_state, CtrlEmit, FeedbackEvent, HostCc, HostCcCtx, HostCcFactory, PacketMeta,
+    RateDecision, SwitchCc, SwitchCcCtx, SwitchCcFactory,
 };
 use rocc::sim::prelude::*;
 use std::collections::BTreeMap;
@@ -71,21 +76,10 @@ impl SwitchCc for TinySwitchCc {
         }
         None
     }
-
-    // `cp` and `line_rate` are configuration; `queued` is the state.
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        for (flow, &(n, src)) in &self.queued {
-            out.extend_from_slice(&[flow.0, n as u64, src.0 as u64]);
-        }
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.queued = state
-            .chunks_exact(3)
-            .map(|e| (FlowId(e[0]), (e[1] as u32, NodeId(e[2] as usize))))
-            .collect();
-    }
 }
+
+// `cp` and `line_rate` are configuration; `queued` is the state.
+cc_state!(TinySwitchCc { queued });
 
 struct TinySwitchFactory;
 
@@ -118,17 +112,9 @@ impl HostCc for TinyHostCc {
             self.rate = BitRate::from_mbps(10).scale(fair_rate_units as f64);
         }
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        out.push(self.rate.as_bps());
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        if let [bps] = state {
-            self.rate = BitRate::from_bps(*bps);
-        }
-    }
 }
+
+cc_state!(TinyHostCc { rate });
 
 struct TinyHostFactory;
 
@@ -253,5 +239,19 @@ mod tests {
         resumed.restore(&donor.snapshot()).expect("restore");
         resumed.run_until(end);
         assert!(resumed.snapshot() == whole.snapshot(), "resumed run diverged");
+    }
+
+    /// A RoCC checkpoint of the same setup restored into TinyCC: the
+    /// header matches (same seed and config), but RoCC's controller words
+    /// do not decode under TinyCC's lists, so the restore is refused.
+    #[test]
+    fn another_schemes_snapshot_is_refused() {
+        let (mut rocc, _, _) = incast(
+            Box::new(RoccHostCcFactory::new()),
+            Box::new(RoccSwitchCcFactory::new()),
+        );
+        rocc.run_until_event(20_000);
+        let got = tiny().restore(&rocc.snapshot());
+        assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
     }
 }

@@ -54,15 +54,9 @@ impl SwitchCc for LoggedStamps {
         }
         hop
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        self.inner.snapshot_state(out);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.inner.restore_state(state);
-    }
 }
+
+rocc::sim::cc_state!(LoggedStamps { inner });
 
 struct LoggedStampsFactory(Log<(CpId, IntHop)>);
 
@@ -91,15 +85,9 @@ impl HostCc for LoggedAcks {
         self.log.borrow_mut().push(ack.int.hops().to_vec());
         self.inner.on_ack(ctx, ack);
     }
-
-    fn snapshot_state(&self, out: &mut Vec<u64>) {
-        self.inner.snapshot_state(out);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) {
-        self.inner.restore_state(state);
-    }
 }
+
+rocc::sim::cc_state!(LoggedAcks { inner });
 
 struct LoggedAcksFactory(Log<Vec<IntHop>>);
 
