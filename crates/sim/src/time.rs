@@ -94,11 +94,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Duration as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Multiply by an integer factor, saturating on overflow.
     pub fn saturating_mul(self, factor: u64) -> Self {
         SimDuration(self.0.saturating_mul(factor))
