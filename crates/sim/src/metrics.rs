@@ -20,6 +20,7 @@ use crate::snapshot::{struct_codec, Codec, SnapReader, SnapWriter, SnapshotError
 use crate::telemetry::{EventMask, SimEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PortId};
+use rocc_stats::json;
 use std::collections::BTreeMap;
 
 /// Latest CP controller state, updated on every `CpDecision` event and
@@ -111,8 +112,8 @@ impl MetricRow {
                 cp.port.0,
                 fair_rate_units,
                 region,
-                fin(alpha),
-                fin(beta)
+                json::number(alpha),
+                json::number(beta)
             ),
             MetricRow::Flow {
                 t,
@@ -132,14 +133,6 @@ impl MetricRow {
                 cum_pause_ns
             ),
         }
-    }
-}
-
-fn fin(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
     }
 }
 

@@ -33,6 +33,7 @@
 
 use crate::sched::{SchedStats, WHEEL_LEVELS};
 use crate::telemetry::Histogram;
+use rocc_stats::json;
 use std::time::Instant;
 
 /// An engine subsystem that wall time is attributed to.
@@ -464,7 +465,7 @@ impl PhaseProfiler {
                 let wall_ns = (*share * ctx.wall_ns as f64) as u64;
                 format!(
                     "{{\"phase\":\"{name}\",\"share\":{},\"wall_ns\":{wall_ns},\"count\":{count}}}",
-                    json_f64(*share)
+                    json::number(*share)
                 )
             })
             .collect();
@@ -510,9 +511,9 @@ impl PhaseProfiler {
              \"slab\":{{\"live\":{},\"peak_live\":{}}},\
              \"fastmap\":{{\"flow_dir_entries\":{}}}}}",
             ctx.events,
-            json_f64(ctx.wall_ns as f64 / 1e9),
-            json_f64(ctx.sim_ns as f64 / 1e9),
-            json_f64(eps),
+            json::number(ctx.wall_ns as f64 / 1e9),
+            json::number(ctx.sim_ns as f64 / 1e9),
+            json::number(eps),
             self.stride,
             self.timed_events,
             phases.join(","),
@@ -563,15 +564,6 @@ pub struct ProfileContext {
     pub sched: SchedStats,
     /// Per-level wheel occupancy at export time.
     pub level_depths: [u64; WHEEL_LEVELS],
-}
-
-/// Format an `f64` as JSON (no NaN/inf — those become 0).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]

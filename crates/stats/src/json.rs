@@ -1,5 +1,6 @@
-//! The workspace's one JSON string escaper. Every hand-written
-//! `rocc-*/v1` JSON artifact embeds strings through [`escape`].
+//! The workspace's JSON text rules. Every hand-written `rocc-*/v1` JSON
+//! artifact embeds strings through [`escape`]; the engine's trace,
+//! metrics and profile documents write floats through [`number`].
 
 /// Escape a string for embedding in a JSON string literal: `"` and `\`
 /// are backslash-escaped, `\n` / `\r` / `\t` use their short forms, and
@@ -20,6 +21,16 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// An `f64` as a JSON number: Rust's shortest round-trip form. JSON has
+/// no NaN or infinity; a non-finite value is written as `0`.
+pub fn number(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "0".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,5 +41,14 @@ mod tests {
         assert_eq!(escape("\r\t"), "\\r\\t");
         assert_eq!(escape("\u{1}"), "\\u0001");
         assert_eq!(escape("plain µs"), "plain µs");
+    }
+
+    #[test]
+    fn number_is_shortest_form_and_finite() {
+        assert_eq!(number(0.1), "0.1");
+        assert_eq!(number(3.0), "3");
+        assert_eq!(number(-2.5e-7), "-0.00000025");
+        assert_eq!(number(f64::NAN), "0");
+        assert_eq!(number(f64::INFINITY), "0");
     }
 }
