@@ -11,8 +11,9 @@
 
 mod common;
 
-use common::build_chaos;
+use common::{build_chaos, dumbbell};
 use proptest::prelude::*;
+use rocc_core::{HostCalcRoccFactory, RoccSwitchCcFactory};
 use rocc_sim::prelude::*;
 use rocc_sim::snapshot;
 
@@ -155,6 +156,35 @@ fn state_digest_is_the_hash_of_the_snapshot_sections() {
         "host/3", "host/4", "host/5", "host/6", "host/7", "run", "trace", "sanitizer",
     ];
     assert_eq!(names, want);
+}
+
+/// The fault injector skips a flow whose flipped words no longer decode.
+/// A host-computed RoCC sender's word 0 is its replica count, so the flip
+/// asks for 2^30 more replicas than the stream holds: no flow takes it,
+/// the state is left as it was, and nothing panics.
+#[test]
+fn perturbation_skips_flows_whose_flipped_words_do_not_decode() {
+    let (topo, srcs, dst) = dumbbell(4, 40);
+    let mut sim = Sim::new(
+        topo,
+        SimConfig::default(),
+        Box::new(HostCalcRoccFactory::default()),
+        Box::new(RoccSwitchCcFactory::new().host_computed()),
+    );
+    for (i, &src) in srcs.iter().enumerate() {
+        sim.add_flow(FlowSpec {
+            id: FlowId(i as u64),
+            src,
+            dst,
+            size: 400_000,
+            start: SimTime::ZERO,
+            offered: None,
+        });
+    }
+    assert!(sim.run_until_event(5_000));
+    let before = sim.snapshot();
+    assert!(!sim.inject_rp_perturbation(), "a flip that does not decode was applied");
+    assert!(sim.snapshot() == before, "a skipped flow's state changed");
 }
 
 proptest! {
