@@ -1,9 +1,11 @@
 //! Cross-crate integration: every congestion-control scheme drives real
-//! traffic end-to-end through the fat-tree substrate.
+//! traffic end-to-end through the fat-tree substrate, and a snapshot
+//! restores only into the scheme that wrote it.
 
 use rocc::experiments::fct::{run_fat_tree, BufferRegime, FatTreeConfig, Workload};
-use rocc::experiments::Scheme;
-use rocc::sim::prelude::SimDuration;
+use rocc::experiments::micro::sim_with;
+use rocc::experiments::{scenarios, Scheme};
+use rocc::sim::prelude::*;
 
 fn tiny() -> FatTreeConfig {
     FatTreeConfig {
@@ -116,6 +118,50 @@ fn lossy_fabric_recovers_with_go_back_n() {
             out.all_completed,
             "{}: flows must complete despite drops",
             scheme.name()
+        );
+    }
+}
+
+/// Four senders of 400 KB each into one receiver at 40 Gb/s.
+fn incast(scheme: Scheme) -> Sim {
+    let d = scenarios::dumbbell(4, BitRate::from_gbps(40));
+    let mut sim = sim_with(d.topo, scheme, 7, SimConfig::default());
+    for (i, &src) in d.senders.iter().enumerate() {
+        sim.add_flow(FlowSpec {
+            id: FlowId(i as u64),
+            src,
+            dst: d.receiver,
+            size: 400_000,
+            start: SimTime::ZERO,
+            offered: None,
+        });
+    }
+    sim
+}
+
+/// The snapshot header binds the seed and `SimConfig`, not the scheme;
+/// what refuses a foreign snapshot is each controller's strict word
+/// decode. (TIMELY and TIMELY+patch share one layout and are not told
+/// apart: DESIGN.md §3i.)
+#[test]
+fn a_snapshot_of_one_scheme_is_refused_by_another() {
+    let pairs = [
+        (Scheme::Dcqcn, Scheme::Rocc),
+        (Scheme::Rocc, Scheme::Dcqcn),
+        (Scheme::Rocc, Scheme::Timely),
+        (Scheme::Hpcc, Scheme::Rocc),
+    ];
+    for (from, into) in pairs {
+        let mut donor = incast(from);
+        assert!(donor.run_until_event(1_500));
+        let bytes = donor.snapshot();
+        incast(from).restore(&bytes).expect("same-scheme restore");
+        let got = incast(into).restore(&bytes);
+        assert!(
+            matches!(got, Err(SnapshotError::Malformed(_))),
+            "{} snapshot restored into {}: {got:?}",
+            from.name(),
+            into.name()
         );
     }
 }
