@@ -16,7 +16,7 @@
 //! ordering).
 
 use crate::packet::{CpId, FlowId};
-use crate::snapshot::{struct_codec, Codec, SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{struct_codec, tag_codec};
 use crate::telemetry::{EventMask, SimEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PortId};
@@ -305,86 +305,12 @@ impl Observatory {
 // which is configuration recorded so a restore can check the rebuilt run.
 struct_codec!(Observatory { enabled, rows, cp_state, pause_open, cum_pause });
 
-impl Codec for MetricRow {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            MetricRow::Queue {
-                t,
-                node,
-                port,
-                bytes,
-            } => {
-                w.put(&0u8);
-                w.put(t);
-                w.put(node);
-                w.put(port);
-                w.put(bytes);
-            }
-            MetricRow::Cp {
-                t,
-                cp,
-                fair_rate_units,
-                region,
-                alpha,
-                beta,
-            } => {
-                w.put(&1u8);
-                w.put(t);
-                w.put(cp);
-                w.put(fair_rate_units);
-                w.put(region);
-                w.put(alpha);
-                w.put(beta);
-            }
-            MetricRow::Flow {
-                t,
-                flow,
-                rp_bps,
-                goodput_bps,
-            } => {
-                w.put(&2u8);
-                w.put(t);
-                w.put(flow);
-                w.put(rp_bps);
-                w.put(goodput_bps);
-            }
-            MetricRow::Pfc { t, cum_pause_ns } => {
-                w.put(&3u8);
-                w.put(t);
-                w.put(cum_pause_ns);
-            }
-        }
-    }
-    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.get::<u8>()? {
-            0 => MetricRow::Queue {
-                t: r.get()?,
-                node: r.get()?,
-                port: r.get()?,
-                bytes: r.get()?,
-            },
-            1 => MetricRow::Cp {
-                t: r.get()?,
-                cp: r.get()?,
-                fair_rate_units: r.get()?,
-                region: r.get()?,
-                alpha: r.get()?,
-                beta: r.get()?,
-            },
-            2 => MetricRow::Flow {
-                t: r.get()?,
-                flow: r.get()?,
-                rp_bps: r.get()?,
-                goodput_bps: r.get()?,
-            },
-            3 => MetricRow::Pfc {
-                t: r.get()?,
-                cum_pause_ns: r.get()?,
-            },
-            _ => return Err(SnapshotError::Malformed("enum tag")),
-        })
-    }
-}
+tag_codec!(MetricRow {
+    Queue { t, node, port, bytes } = 0,
+    Cp { t, cp, fair_rate_units, region, alpha, beta } = 1,
+    Flow { t, flow, rp_bps, goodput_bps } = 2,
+    Pfc { t, cum_pause_ns } = 3,
+});
 
 #[cfg(test)]
 mod tests {
