@@ -7,13 +7,14 @@
 //!
 //! The reaction point here keeps one [`FairRateCalculator`] replica per
 //! congestion point it hears from, feeds each queue report into the right
-//! replica, and then applies the exact same Alg. 2 arbitration and fast
-//! recovery as the switch-computed mode — so multi-bottleneck behaviour is
-//! unchanged.
+//! replica, and passes each congested replica's rate to the switch-computed
+//! mode's own reaction point ([`RoccHostCc`]) as a CNP from that CP — so
+//! Alg. 2 arbitration, fast recovery, the declared rate bounds and the
+//! RP-transition telemetry are the same code in both modes.
 
 use crate::cp::FairRateCalculator;
 use crate::params::{CpParams, RpParams};
-use crate::rp::RECOVERY_TOKEN;
+use crate::rp::RoccHostCc;
 use rocc_sim::cc::{
     CcReader, CcState, CcStateError, FeedbackEvent, HostCc, HostCcCtx, RateDecision,
 };
@@ -33,27 +34,21 @@ pub fn params_for_f_max(f_max_units: u32) -> CpParams {
 }
 
 /// Reaction point that computes the fair rate locally from CP queue
-/// reports (§3.6 mode), then runs the standard Alg. 2 arbitration.
+/// reports (§3.6 mode), then hands each congested replica's rate to an
+/// embedded [`RoccHostCc`] as a CNP from that CP.
 pub struct HostCalcRoccCc {
-    p: RpParams,
-    r_max: BitRate,
     /// Per-CP fair-rate replicas.
     calcs: HashMap<CpId, Replica>,
-    r_cur: BitRate,
-    cp_cur: Option<CpId>,
-    installed: bool,
+    /// The standard Alg. 2 reaction point the replicas feed.
+    rp: RoccHostCc,
 }
 
 impl HostCalcRoccCc {
     /// A fresh flow starts uninstalled (line rate).
     pub fn new(p: RpParams, r_max: BitRate) -> Self {
         HostCalcRoccCc {
-            p,
-            r_max,
             calcs: HashMap::new(),
-            r_cur: r_max,
-            cp_cur: None,
-            installed: false,
+            rp: RoccHostCc::new(p, r_max),
         }
     }
 
@@ -64,17 +59,13 @@ impl HostCalcRoccCc {
 
     /// True while the rate limiter is installed.
     pub fn is_installed(&self) -> bool {
-        self.installed
+        self.rp.is_installed()
     }
 }
 
 impl HostCc for HostCalcRoccCc {
     fn decision(&self) -> RateDecision {
-        if self.installed {
-            RateDecision::line_rate(self.r_cur.min(self.r_max))
-        } else {
-            RateDecision::line_rate(self.r_max)
-        }
+        self.rp.decision()
     }
 
     fn on_feedback(&mut self, ctx: &mut HostCcCtx, fb: FeedbackEvent) {
@@ -91,42 +82,34 @@ impl HostCc for HostCalcRoccCc {
             Replica(FairRateCalculator::new(params_for_f_max(f_max_units)))
         });
         let q_bytes = q_cur_units as u64 * calc.params().delta_q;
-        let (units, _) = calc.update(q_bytes);
-        if !calc.is_congested() {
-            return; // this CP imposes no limit
+        let (fair_rate_units, _) = calc.update(q_bytes);
+        if calc.is_congested() {
+            // Only a congested CP imposes a limit, as only it sends a CNP.
+            let cnp = FeedbackEvent::RoccCnp {
+                fair_rate_units,
+                cp,
+            };
+            self.rp.on_feedback(ctx, cnp);
         }
-        let r_rcvd = BitRate::from_bps(self.p.delta_f.as_bps() * units as u64);
-        // Alg. 2 arbitration, unchanged.
-        let accept =
-            !self.installed || r_rcvd <= self.r_cur || self.cp_cur == Some(cp);
-        if accept {
-            self.r_cur = r_rcvd;
-            self.cp_cur = Some(cp);
-            self.installed = true;
-            ctx.set_timer(RECOVERY_TOKEN, self.p.recovery_timer);
-        }
+    }
+
+    fn rate_bounds(&self) -> Option<(BitRate, BitRate)> {
+        self.rp.rate_bounds()
     }
 
     fn on_timer(&mut self, ctx: &mut HostCcCtx, token: u8) {
-        if token != RECOVERY_TOKEN || !self.installed {
-            return;
-        }
-        if self.r_cur > self.r_max {
-            self.installed = false;
-            self.cp_cur = None;
-            self.r_cur = self.r_max;
+        let was_installed = self.rp.is_installed();
+        self.rp.on_timer(ctx, token);
+        if was_installed && !self.rp.is_installed() {
             // Reports stopped arriving: discard stale replicas so a later
             // congestion episode starts from fresh CP state.
             self.calcs.clear();
-            return;
         }
-        self.r_cur = self.r_cur.saturating_double();
-        ctx.set_timer(RECOVERY_TOKEN, self.p.recovery_timer);
     }
 }
 
-// `p` and `r_max` are configuration.
-rocc_sim::cc_state!(HostCalcRoccCc { calcs, r_cur, installed, cp_cur });
+// The replicas, then the reaction point's words.
+rocc_sim::cc_state!(HostCalcRoccCc { calcs, rp });
 
 /// One CP replica. Fmax doubles as the profile key (see
 /// [`params_for_f_max`]), so a replica's words are its Fmax and then the
@@ -171,7 +154,9 @@ impl rocc_sim::cc::HostCcFactory for HostCalcRoccFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rp::RECOVERY_TOKEN;
     use rocc_sim::prelude::{NodeId, PortId, SimTime};
+    use rocc_sim::telemetry::{CcEvent, EventMask, RpTransitionKind};
 
     fn ctx() -> HostCcCtx {
         HostCcCtx {
@@ -271,5 +256,38 @@ mod tests {
         }
         assert!(!cc.is_installed());
         assert_eq!(cc.tracked_cps(), 0, "stale replicas must be dropped");
+    }
+
+    /// §3.6 mode is the switch-computed RP behind local replicas, so it
+    /// declares the same rate bounds for the sanitizer and reports the
+    /// same Alg. 2 transitions.
+    #[test]
+    fn declares_bounds_and_reports_rp_transitions() {
+        let mut cc = HostCalcRoccCc::new(RpParams::default(), BitRate::from_gbps(40));
+        assert_eq!(
+            cc.rate_bounds(),
+            Some((BitRate::ZERO, BitRate::from_gbps(40)))
+        );
+        let mut c = ctx();
+        c.event_mask = EventMask::RP_TRANSITION;
+        cc.on_feedback(&mut c, report(700, 4000, cp(1)));
+        cc.on_feedback(&mut c, report(700, 4000, cp(2)));
+        cc.on_timer(&mut c, RECOVERY_TOKEN);
+        let kinds: Vec<RpTransitionKind> = c
+            .events
+            .iter()
+            .map(|e| match e {
+                CcEvent::RpTransition { kind, .. } => *kind,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                RpTransitionKind::Install,
+                RpTransitionKind::CpSwitch,
+                RpTransitionKind::RecoveryDouble
+            ]
+        );
     }
 }

@@ -5,8 +5,10 @@
 //! deliberately simple: one header row, comma-separated, time in
 //! milliseconds, rates in Gb/s, queues in KB, FCTs in ms.
 
-use crate::fct::{fct_comparison, BufferRegime, SchemeFcts, Workload};
+use crate::fct::{fct_grid_supervised, BufferRegime, FatTreeConfig, SchemeFcts, Workload};
 use crate::micro;
+use crate::parallel::ExecMode;
+use crate::supervisor::Supervisor;
 use crate::Scale;
 use rocc_sim::prelude::Sample;
 use std::fmt::Write as _;
@@ -121,8 +123,10 @@ pub fn dump_all(dir: &Path, scale: Scale) -> io::Result<Vec<String>> {
     }
 
     // Figs. 14–16 + Table 3 source data.
+    let cfg = FatTreeConfig::for_scale(scale);
+    let sup = Supervisor::new(ExecMode::Parallel);
     for wl in [Workload::WebSearch, Workload::FbHadoop] {
-        let res = fct_comparison(wl, 0.7, scale, BufferRegime::Pfc);
+        let (res, _) = fct_grid_supervised(wl, 0.7, &cfg, BufferRegime::Pfc, &sup);
         let name = format!("fct_{}.csv", wl.name().to_lowercase());
         save(&name, fct_csv(&res))?;
     }
@@ -171,9 +175,6 @@ mod tests {
 
     #[test]
     fn fct_csv_has_header_and_rows() {
-        // Build a minimal SchemeFcts via the public constructor path.
-        use crate::fct::{scheme_fcts, FatTreeConfig};
-        use crate::Scheme;
         use rocc_sim::prelude::SimDuration;
         let cfg = FatTreeConfig {
             hosts_per_edge: 3,
@@ -182,8 +183,9 @@ mod tests {
             max_drain: SimDuration::from_millis(400),
             reps: 1,
         };
-        let r = scheme_fcts(Scheme::Rocc, Workload::FbHadoop, 0.5, &cfg, BufferRegime::Pfc);
-        let csv = fct_csv(&[r]);
+        let sup = Supervisor::new(ExecMode::Parallel);
+        let (rows, _) = fct_grid_supervised(Workload::FbHadoop, 0.5, &cfg, BufferRegime::Pfc, &sup);
+        let csv = fct_csv(&rows);
         assert!(csv.starts_with("scheme,bin_bytes,count"));
         assert!(csv.lines().count() > 5);
         assert!(csv.contains("RoCC,"));

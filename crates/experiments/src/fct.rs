@@ -6,13 +6,12 @@
 
 use crate::micro::sim_with;
 use crate::observatory::digest;
-use crate::parallel::ExecMode;
 use crate::scenarios::{self, FatTree};
 use crate::schemes::Scheme;
 use crate::supervisor::{CampaignReport, FnCodec, Supervisor};
 use crate::Scale;
 use rocc_sim::prelude::*;
-use rocc_stats::{bin_values, mean_ci95, percentile, MeanCi};
+use rocc_stats::{bin_values, json, mean_ci95, percentile, MeanCi};
 use rocc_workloads::{FlowSizeDist, PoissonWorkload};
 
 /// Which workload distribution drives the run.
@@ -155,50 +154,40 @@ impl RunOutput {
     /// journal line, schema drift) yields `None`, which makes the
     /// supervisor re-run the cell — always safe.
     pub fn from_json(s: &str) -> Option<RunOutput> {
-        fn between<'a>(s: &'a str, start: &str, end: &str) -> Option<&'a str> {
-            let i = s.find(start)? + start.len();
-            let j = s[i..].find(end)? + i;
-            Some(&s[i..j])
-        }
-        let fcts_raw = between(s, "\"fcts\":[", "],\"pfc\":[")?;
-        let mut fcts = Vec::new();
-        if !fcts_raw.is_empty() {
-            for pair in fcts_raw.split("],[") {
-                let pair = pair.trim_start_matches('[').trim_end_matches(']');
-                let (a, b) = pair.split_once(',')?;
-                fcts.push((a.parse().ok()?, b.parse().ok()?));
-            }
-        }
-        let pfc: Vec<u64> = between(s, "\"pfc\":[", "],\"q\":[")?
-            .split(',')
-            .map(|v| v.parse().ok())
+        let doc = json::parse(s)?;
+        let [fcts, pfc, q, retx_bytes, tx_data_bytes, drops, offered_flows, all_completed] =
+            doc.root().members([
+                "fcts",
+                "pfc",
+                "q",
+                "retx_bytes",
+                "tx_data_bytes",
+                "drops",
+                "offered_flows",
+                "all_completed",
+            ])?;
+        let fcts = fcts
+            .items()?
+            .map(|pair| {
+                let [size, fct] = pair.elements()?;
+                Some((size.as_u64()?, fct.as_f64()?))
+            })
             .collect::<Option<_>>()?;
-        let q: Vec<f64> = between(s, "\"q\":[", "],\"retx_bytes\":")?
-            .split(',')
-            .map(|v| v.parse().ok())
-            .collect::<Option<_>>()?;
-        if pfc.len() != 3 || q.len() != 3 {
-            return None;
-        }
+        let [pfc_core, pfc_ingress, pfc_egress] = pfc.elements()?;
+        let [q_core, q_ingress, q_egress] = q.elements()?;
         Some(RunOutput {
             fcts,
-            pfc_core: pfc[0],
-            pfc_ingress: pfc[1],
-            pfc_egress: pfc[2],
-            q_core: q[0],
-            q_ingress: q[1],
-            q_egress: q[2],
-            retx_bytes: between(s, "\"retx_bytes\":", ",\"tx_data_bytes\":")?.parse().ok()?,
-            tx_data_bytes: between(s, "\"tx_data_bytes\":", ",\"drops\":")?.parse().ok()?,
-            drops: between(s, "\"drops\":", ",\"offered_flows\":")?.parse().ok()?,
-            offered_flows: between(s, "\"offered_flows\":", ",\"all_completed\":")?
-                .parse()
-                .ok()?,
-            all_completed: match between(s, "\"all_completed\":", "}")? {
-                "true" => true,
-                "false" => false,
-                _ => return None,
-            },
+            pfc_core: pfc_core.as_u64()?,
+            pfc_ingress: pfc_ingress.as_u64()?,
+            pfc_egress: pfc_egress.as_u64()?,
+            q_core: q_core.as_f64()?,
+            q_ingress: q_ingress.as_f64()?,
+            q_egress: q_egress.as_f64()?,
+            retx_bytes: retx_bytes.as_u64()?,
+            tx_data_bytes: tx_data_bytes.as_u64()?,
+            drops: drops.as_u64()?,
+            offered_flows: offered_flows.as_u64()?.try_into().ok()?,
+            all_completed: all_completed.as_bool()?,
         })
     }
 }
@@ -420,35 +409,17 @@ impl SchemeFcts {
     }
 }
 
-/// Seed for repetition `rep` — shared by the serial and parallel paths
-/// so both run the exact same cells.
+/// Seed for repetition `rep`.
 fn rep_seed(rep: usize) -> u64 {
     1000 + rep as u64
 }
 
 /// Fold per-repetition outputs (in repetition order) into one scheme row.
-///
-/// Extracted from [`scheme_fcts`] so the parallel runner can fan out
-/// individual `(scheme, rep)` cells and aggregate afterwards with the
-/// exact arithmetic — and accumulation order — of the serial loop,
-/// keeping the two paths bit-identical.
 pub fn aggregate_outputs(
     scheme: Scheme,
     workload: Workload,
     cfg: &FatTreeConfig,
     outputs: &[RunOutput],
-) -> SchemeFcts {
-    let refs: Vec<&RunOutput> = outputs.iter().collect();
-    aggregate_outputs_ref(scheme, workload, cfg, &refs)
-}
-
-/// The by-reference core of [`aggregate_outputs`] — the supervised grid
-/// aggregates the surviving subset of cells without cloning them.
-fn aggregate_outputs_ref(
-    scheme: Scheme,
-    workload: Workload,
-    cfg: &FatTreeConfig,
-    outputs: &[&RunOutput],
 ) -> SchemeFcts {
     let edges = workload.dist().report_bins();
     let mut per_rep_avg: Vec<Vec<f64>> = vec![Vec::new(); edges.len()];
@@ -534,20 +505,6 @@ fn aggregate_outputs_ref(
     }
 }
 
-/// Run `scheme` for `reps` seeds (serially) and aggregate.
-pub fn scheme_fcts(
-    scheme: Scheme,
-    workload: Workload,
-    load: f64,
-    cfg: &FatTreeConfig,
-    regime: BufferRegime,
-) -> SchemeFcts {
-    let outputs: Vec<RunOutput> = (0..cfg.reps)
-        .map(|rep| run_fat_tree(scheme, workload, load, cfg, regime, rep_seed(rep)))
-        .collect();
-    aggregate_outputs(scheme, workload, cfg, &outputs)
-}
-
 /// Journal key for one `(scheme, rep)` fat-tree cell: the seed-zeroed
 /// simulator-config digest (the observatory's config-hash idiom) extended
 /// with a digest of the experiment dimensions, plus a human-readable
@@ -578,36 +535,8 @@ pub fn fct_cell_key(
 }
 
 /// Figs. 14–16: the DCQCN / HPCC / RoCC FCT comparison on one workload at
-/// one load level (the avg, p90 and p99 views come from the same runs).
-///
-/// Fans the `scheme × repetition` grid out across threads by default;
-/// every cell is an independent simulation and results aggregate in grid
-/// order, so the output is bit-identical to [`ExecMode::Serial`]
-/// (pinned by `tests/determinism.rs`).
-pub fn fct_comparison(
-    workload: Workload,
-    load: f64,
-    scale: Scale,
-    regime: BufferRegime,
-) -> Vec<SchemeFcts> {
-    fct_comparison_with(workload, load, scale, regime, ExecMode::Parallel)
-}
-
-/// [`fct_comparison`] with an explicit execution mode.
-pub fn fct_comparison_with(
-    workload: Workload,
-    load: f64,
-    scale: Scale,
-    regime: BufferRegime,
-    mode: ExecMode,
-) -> Vec<SchemeFcts> {
-    fct_grid(workload, load, &FatTreeConfig::for_scale(scale), regime, mode)
-}
-
-/// [`fct_comparison`] under an explicit [`Supervisor`]: the grid runs
-/// with panic isolation and typed outcomes, failed cells degrade the
-/// aggregates gracefully instead of aborting the sweep, and the report
-/// carries the failure detail for the CLI's exit-code decision.
+/// one load level (the avg, p90 and p99 views come from the same runs),
+/// at the dimensions of `scale`. See [`fct_grid_supervised`].
 pub fn fct_comparison_supervised(
     workload: Workload,
     load: f64,
@@ -618,27 +547,19 @@ pub fn fct_comparison_supervised(
     fct_grid_supervised(workload, load, &FatTreeConfig::for_scale(scale), regime, sup)
 }
 
-/// The full `scheme × repetition` grid at an explicit config — the
-/// common core of the scale-based entry points and the determinism
-/// suite (which wants a miniature config). Runs under a default
-/// keep-going supervisor; when every cell succeeds (the overwhelmingly
-/// common case) the output is bit-identical to the pre-supervisor
-/// serial loop.
-pub fn fct_grid(
-    workload: Workload,
-    load: f64,
-    cfg: &FatTreeConfig,
-    regime: BufferRegime,
-    mode: ExecMode,
-) -> Vec<SchemeFcts> {
-    fct_grid_supervised(workload, load, cfg, regime, &Supervisor::new(mode)).0
-}
-
-/// [`fct_grid`] under an explicit [`Supervisor`]. Cells cut off by a
-/// runtime budget guard or failing with a protocol verdict are excluded
-/// from their scheme's aggregate (partial results) and recorded in the
-/// campaign report; a scheme whose cells all failed still yields a row,
-/// with empty statistics and `all_completed == false`.
+/// The full `scheme × repetition` grid at an explicit config, under
+/// `sup`: every cell runs with panic isolation and a typed outcome, so a
+/// failed cell degrades the aggregates instead of aborting the sweep, and
+/// the report carries the failure detail for the CLI's exit-code
+/// decision. Cells are independent simulations aggregated in grid order,
+/// so serial and parallel [`crate::parallel::ExecMode`] supervisors give
+/// bit-identical rows (pinned by `tests/determinism.rs`).
+///
+/// Cells cut off by a runtime budget guard or failing with a protocol
+/// verdict are excluded from their scheme's aggregate (partial results)
+/// and recorded in the campaign report; a scheme whose cells all failed
+/// still yields a row, with empty statistics and `all_completed ==
+/// false`.
 pub fn fct_grid_supervised(
     workload: Workload,
     load: f64,
@@ -680,16 +601,15 @@ pub fn fct_grid_supervised(
         }
     });
     let report = campaign.report();
-    let results = campaign.into_results();
+    let mut results = campaign.into_results().into_iter();
     let rows = schemes
         .iter()
-        .zip(results.chunks(cfg.reps))
-        .map(|(&scheme, outs)| {
-            let ok: Vec<&RunOutput> = outs.iter().flatten().collect();
-            let mut row = aggregate_outputs_ref(scheme, workload, cfg, &ok);
+        .map(|&scheme| {
+            let ok: Vec<RunOutput> = results.by_ref().take(cfg.reps).flatten().collect();
+            let mut row = aggregate_outputs(scheme, workload, cfg, &ok);
             // A dropped cell means the sweep is incomplete even if every
             // surviving rep drained cleanly.
-            row.all_completed &= ok.len() == outs.len();
+            row.all_completed &= ok.len() == cfg.reps;
             row
         })
         .collect();
@@ -771,6 +691,7 @@ pub fn fold_increase(baseline: &[SchemeFcts], alt: &[SchemeFcts]) -> Vec<FoldRow
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::ExecMode;
 
     /// A tiny smoke-scale config so the unit test stays fast.
     fn tiny() -> FatTreeConfig {
@@ -879,13 +800,11 @@ mod tests {
 
     #[test]
     fn scheme_fcts_aggregates_bins() {
-        let r = scheme_fcts(
-            Scheme::Rocc,
-            Workload::FbHadoop,
-            0.5,
-            &tiny(),
-            BufferRegime::Pfc,
-        );
+        let sup = Supervisor::new(ExecMode::Parallel);
+        let (rows, report) =
+            fct_grid_supervised(Workload::FbHadoop, 0.5, &tiny(), BufferRegime::Pfc, &sup);
+        assert!(report.all_ok());
+        let r = rows.iter().find(|r| r.scheme == Scheme::Rocc).unwrap();
         assert_eq!(r.bins.len(), 10);
         let total: usize = r.bins.iter().map(|b| b.count).sum();
         assert!(total > 50);

@@ -17,9 +17,9 @@
 //! | Fig. 12a (multi-bottleneck) | [`micro::fig12a`] |
 //! | Fig. 12b (asymmetric) | [`micro::fig12b`] |
 //! | Fig. 13 (testbed vs sim) | [`micro::fig13`] |
-//! | Figs. 14–16 (FCT by bin) | [`fct::fct_comparison`] |
+//! | Figs. 14–16 (FCT by bin) | [`fct::fct_comparison_supervised`] |
 //! | Table 3 (rate allocation) | [`fct::table3`] |
-//! | Fig. 17 (queues & PFC by CP) | [`fct::fct_comparison`] (side data) |
+//! | Fig. 17 (queues & PFC by CP) | [`fct::fct_comparison_supervised`] (side data) |
 //! | Fig. 18 (unlimited buffer) | [`fct::fold_increase`] |
 //! | Fig. 19 (baseline verification) | [`micro::fig19`] |
 //! | Fig. 20 (lossy go-back-N) | [`fct::fold_increase`] |

@@ -34,7 +34,8 @@ use crate::Scale;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rocc_sim::prelude::*;
-use rocc_stats::{convergence_time, histogram_distance, jain_fairness, percentile};
+use rocc_stats::digest::parse_hex_digest;
+use rocc_stats::{convergence_time, histogram_distance, jain_fairness, json, percentile};
 use std::collections::BTreeMap;
 
 /// Scenario names accepted by [`observe`].
@@ -347,23 +348,25 @@ impl SweepCellSummary {
     /// Strict parse of [`SweepCellSummary::to_json`]; `None` on any
     /// anomaly (the supervisor then re-runs the cell).
     pub fn from_json(s: &str) -> Option<SweepCellSummary> {
-        fn between<'a>(s: &'a str, start: &str, end: &str) -> Option<&'a str> {
-            let i = s.find(start)? + start.len();
-            let j = s[i..].find(end)? + i;
-            Some(&s[i..j])
-        }
-        let metrics_digest =
-            between(s, "\"metrics_digest\":\"", "\"")?.to_string();
-        let config_hash = between(s, "\"config_hash\":\"", "\"")?.to_string();
-        if metrics_digest.len() != 16 || config_hash.len() != 16 {
-            return None;
-        }
+        let doc = json::parse(s)?;
+        let [seed, flows, completed, metrics_digest, config_hash] = doc.root().members([
+            "seed",
+            "flows",
+            "completed",
+            "metrics_digest",
+            "config_hash",
+        ])?;
+        let hex = |v: json::Value| {
+            let h = v.as_str()?;
+            parse_hex_digest(&h)?;
+            Some(h.into_owned())
+        };
         Some(SweepCellSummary {
-            seed: between(s, "{\"seed\":", ",")?.parse().ok()?,
-            flows: between(s, "\"flows\":", ",")?.parse().ok()?,
-            completed: between(s, "\"completed\":", ",")?.parse().ok()?,
-            metrics_digest,
-            config_hash,
+            seed: seed.as_u64()?,
+            flows: flows.as_u64()?,
+            completed: completed.as_u64()?,
+            metrics_digest: hex(metrics_digest)?,
+            config_hash: hex(config_hash)?,
         })
     }
 }
@@ -513,92 +516,60 @@ impl FidelitySummary {
     }
 }
 
-/// Extract an unsigned integer field from one JSONL line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Does the line carry the given `"type"` tag?
-fn is_row(line: &str, ty: &str) -> bool {
-    line.contains(&format!("\"type\":\"{ty}\""))
-}
-
-/// The integer fields, besides `t_ns`, that each row `type` carries.
-const ROW_FIELDS: [(&str, &[&str]); 4] = [
-    ("queue", &["node", "port", "bytes"]),
-    ("cp", &["node", "port", "fair_rate_units", "region"]),
-    ("flow", &["flow", "rp_bps", "goodput_bps"]),
-    ("pfc", &["cum_pause_ns"]),
-];
-
-/// Is `line` one whole metrics row: an object with `t_ns`, a known
-/// `type`, and every integer field of that type?
-fn is_complete_row(line: &str) -> bool {
-    line.starts_with('{')
-        && line.ends_with('}')
-        && field_u64(line, "t_ns").is_some()
-        && ROW_FIELDS.iter().any(|(ty, fields)| {
-            is_row(line, ty) && fields.iter().all(|f| field_u64(line, f).is_some())
-        })
-}
-
-/// Reduce a metrics JSONL document to its [`FidelitySummary`].
+/// Reduce a metrics JSONL document to its [`FidelitySummary`], skipping
+/// any line that is not a whole row ([`load_summary`] refuses them).
 pub fn summarize_metrics(jsonl: &str) -> FidelitySummary {
-    let mut t_max: u64 = 0;
-    for line in jsonl.lines() {
-        if let Some(t) = field_u64(line, "t_ns") {
-            t_max = t_max.max(t);
-        }
-    }
-    let tail_from = t_max / 2;
+    let rows: Vec<MetricRow> = jsonl.lines().filter_map(MetricRow::from_json).collect();
+    summarize_rows(&rows)
+}
+
+fn summarize_rows(rows: &[MetricRow]) -> FidelitySummary {
+    let row_t = |r: &MetricRow| match *r {
+        MetricRow::Queue { t, .. }
+        | MetricRow::Cp { t, .. }
+        | MetricRow::Flow { t, .. }
+        | MetricRow::Pfc { t, .. } => t.as_nanos(),
+    };
+    let tail_from = rows.iter().map(row_t).max().unwrap_or(0) / 2;
 
     // Per-flow mean goodput over the tail half → Jain.
-    let mut goodput: BTreeMap<u64, (f64, u64)> = BTreeMap::new();
+    let mut goodput: BTreeMap<FlowId, (f64, u64)> = BTreeMap::new();
     // Fair-rate series of the busiest CP → convergence time.
-    let mut cp_series: BTreeMap<(u64, u64), Vec<(f64, f64)>> = BTreeMap::new();
+    let mut cp_series: BTreeMap<CpId, Vec<(f64, f64)>> = BTreeMap::new();
     // Queue-depth samples → p99 + histogram.
     let mut queue_samples: Vec<f64> = Vec::new();
     let mut queue_hist = Histogram::new();
     let mut cum_pause_ns: u64 = 0;
 
-    for line in jsonl.lines() {
-        let Some(t) = field_u64(line, "t_ns") else {
-            continue;
-        };
-        if is_row(line, "flow") {
-            if t >= tail_from {
-                if let (Some(f), Some(g)) = (field_u64(line, "flow"), field_u64(line, "goodput_bps")) {
-                    let e = goodput.entry(f).or_insert((0.0, 0));
-                    e.0 += g as f64;
-                    e.1 += 1;
-                }
+    for row in rows {
+        match *row {
+            MetricRow::Flow {
+                t,
+                flow,
+                goodput_bps,
+                ..
+            } if t.as_nanos() >= tail_from => {
+                let e = goodput.entry(flow).or_insert((0.0, 0));
+                e.0 += goodput_bps as f64;
+                e.1 += 1;
             }
-        } else if is_row(line, "cp") {
-            if let (Some(n), Some(p), Some(r)) = (
-                field_u64(line, "node"),
-                field_u64(line, "port"),
-                field_u64(line, "fair_rate_units"),
-            ) {
-                cp_series
-                    .entry((n, p))
-                    .or_default()
-                    .push((t as f64 / 1e9, r as f64));
+            MetricRow::Cp {
+                t,
+                cp,
+                fair_rate_units,
+                ..
+            } => cp_series
+                .entry(cp)
+                .or_default()
+                .push((t.as_nanos() as f64 / 1e9, fair_rate_units as f64)),
+            MetricRow::Queue { bytes, .. } => {
+                queue_samples.push(bytes as f64);
+                queue_hist.record(bytes);
             }
-        } else if is_row(line, "queue") {
-            if let Some(b) = field_u64(line, "bytes") {
-                queue_samples.push(b as f64);
-                queue_hist.record(b);
-            }
-        } else if is_row(line, "pfc") {
-            if let Some(c) = field_u64(line, "cum_pause_ns") {
-                cum_pause_ns = cum_pause_ns.max(c);
-            }
+            MetricRow::Pfc {
+                cum_pause_ns: c, ..
+            } => cum_pause_ns = cum_pause_ns.max(c),
+            MetricRow::Flow { .. } => {}
         }
     }
 
@@ -807,36 +778,89 @@ pub fn load_summary(path: &str) -> Result<FidelitySummary, String> {
     };
     let jsonl = std::fs::read_to_string(&file)
         .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-    let bad = jsonl
-        .lines()
-        .position(|l| !l.trim().is_empty() && !is_complete_row(l));
-    if let Some(i) = bad {
-        return Err(format!(
-            "{}:{}: not a complete metrics row",
-            file.display(),
-            i + 1
-        ));
+    let mut rows = Vec::new();
+    for (i, line) in jsonl.lines().enumerate() {
+        if !line.trim().is_empty() {
+            let bad = || format!("{}:{}: not a complete metrics row", file.display(), i + 1);
+            rows.push(MetricRow::from_json(line).ok_or_else(bad)?);
+        }
     }
-    Ok(summarize_metrics(&jsonl))
+    Ok(summarize_rows(&rows))
 }
 
 // ---------------------------------------------------------------------------
 // Golden gate
 
-/// The committed golden baseline document for the pinned quick incast.
+/// The committed golden baseline document (`rocc-observatory-golden/v1`)
+/// of the pinned quick incast: what `repro golden write` writes and
+/// [`golden_check`] reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GoldenDoc {
+    /// Scenario name.
+    pub scenario: String,
+    /// Scale name.
+    pub scale: String,
+    /// Simulation seed.
+    pub seed: u64,
+    /// Digest of the run's metrics JSONL: the gated value.
+    pub metrics_digest: String,
+    /// The run's [`FidelitySummary`], as the JSON object it was written as.
+    pub fidelity: String,
+}
+
+impl GoldenDoc {
+    /// One JSON object and a newline.
+    pub fn to_json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"schema\":\"rocc-observatory-golden/v1\",",
+                "\"scenario\":\"{}\",\"scale\":\"{}\",\"seed\":{},",
+                "\"metrics_digest\":\"{}\",\"fidelity\":{}}}\n"
+            ),
+            json::escape(&self.scenario),
+            json::escape(&self.scale),
+            self.seed,
+            self.metrics_digest,
+            self.fidelity,
+        )
+    }
+
+    /// Strict parse of [`GoldenDoc::to_json`]; `None` on any anomaly.
+    pub fn from_json(doc: &str) -> Option<GoldenDoc> {
+        let doc = json::parse(doc)?;
+        let [schema, scenario, scale, seed, metrics_digest, fidelity] = doc.root().members([
+            "schema",
+            "scenario",
+            "scale",
+            "seed",
+            "metrics_digest",
+            "fidelity",
+        ])?;
+        if schema.as_str()? != "rocc-observatory-golden/v1" || fidelity.entries().is_none() {
+            return None;
+        }
+        let metrics_digest = metrics_digest.as_str()?;
+        parse_hex_digest(&metrics_digest)?;
+        Some(GoldenDoc {
+            scenario: scenario.as_str()?.into_owned(),
+            scale: scale.as_str()?.into_owned(),
+            seed: seed.as_u64()?,
+            metrics_digest: metrics_digest.into_owned(),
+            fidelity: fidelity.raw().to_string(),
+        })
+    }
+}
+
+/// The golden document of a finished run, as text.
 pub fn golden_json(run: &ObserveRun) -> String {
-    format!(
-        concat!(
-            "{{\"schema\":\"rocc-observatory-golden/v1\",",
-            "\"scenario\":\"{}\",\"scale\":\"{}\",\"seed\":{},",
-            "\"metrics_digest\":\"{}\",\"fidelity\":{}}}\n"
-        ),
-        run.scenario,
-        scale_name(run.scale),
-        run.seed,
-        digest(&run.metrics_jsonl),
-        summarize_metrics(&run.metrics_jsonl).to_json(),
-    )
+    let doc = GoldenDoc {
+        scenario: run.scenario.to_string(),
+        scale: scale_name(run.scale).to_string(),
+        seed: run.seed,
+        metrics_digest: digest(&run.metrics_jsonl),
+        fidelity: summarize_metrics(&run.metrics_jsonl).to_json(),
+    };
+    doc.to_json()
 }
 
 /// Run the pinned golden config and produce its baseline document.
@@ -850,8 +874,9 @@ pub fn golden_run() -> ObserveRun {
 pub fn golden_check(path: &str) -> Result<String, String> {
     let committed =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read golden {path}: {e}"))?;
-    let want = field_str(&committed, "metrics_digest")
-        .ok_or_else(|| format!("golden {path} has no metrics_digest field"))?;
+    let want = GoldenDoc::from_json(&committed)
+        .ok_or_else(|| format!("golden {path} is not a rocc-observatory-golden/v1 document"))?
+        .metrics_digest;
     let run = golden_run();
     let got = digest(&run.metrics_jsonl);
     if got == want {
@@ -864,15 +889,6 @@ pub fn golden_check(path: &str) -> Result<String, String> {
              and commit the new {path}."
         ))
     }
-}
-
-/// Extract a string field from a JSON document.
-fn field_str(doc: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = doc.find(&pat)? + pat.len();
-    let rest = &doc[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
 }
 
 #[cfg(test)]
@@ -932,18 +948,6 @@ mod tests {
         assert!(a.contains(&h), "{a}");
         assert_ne!(a, sweep_cell_key("incast", Scale::Paper, &h, 7));
         assert!(scenario_config_debug("nope").is_none());
-    }
-
-    #[test]
-    fn field_extractors_parse_metric_rows() {
-        let line = "{\"t_ns\":3000,\"type\":\"queue\",\"node\":2,\"port\":1,\"bytes\":4096}";
-        assert_eq!(field_u64(line, "t_ns"), Some(3000));
-        assert_eq!(field_u64(line, "bytes"), Some(4096));
-        assert_eq!(field_u64(line, "missing"), None);
-        assert!(is_row(line, "queue"));
-        assert!(!is_row(line, "flow"));
-        let doc = "{\"metrics_digest\":\"00ff\",\"x\":1}";
-        assert_eq!(field_str(doc, "metrics_digest").as_deref(), Some("00ff"));
     }
 
     #[test]

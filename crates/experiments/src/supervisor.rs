@@ -193,7 +193,7 @@ where
     }
 }
 
-/// One parsed line of a checkpoint journal.
+/// One line of a checkpoint journal: a finished cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
     /// Cell key (config hash plus human-readable suffix).
@@ -204,43 +204,46 @@ pub struct JournalEntry {
     pub attempts: u32,
     /// Raw encoded result value (ok lines only).
     pub result_raw: Option<String>,
+    /// Raw failure detail value (failure lines only).
+    pub detail_raw: Option<String>,
 }
 
 impl JournalEntry {
-    fn parse(line: &str) -> Option<JournalEntry> {
-        // Envelope written by `journal_line`: key first, result (if any)
-        // last. A line torn by a crash mid-write fails one of these
-        // anchors (or decodes to garbage later) and is skipped — the cell
-        // re-runs, which is always safe.
-        if !line.starts_with("{\"key\":\"") || !line.ends_with('}') {
-            return None;
-        }
-        let key = take_between(line, "{\"key\":\"", "\"")?.to_string();
-        let outcome = take_between(line, "\"outcome\":\"", "\"")?.to_string();
-        let attempts_str = take_between(line, "\"attempts\":", ",")
-            .or_else(|| take_between(line, "\"attempts\":", "}"))?;
-        let attempts: u32 = attempts_str.trim().parse().ok()?;
-        let result_raw = if outcome == "ok" {
-            let i = line.find("\"result\":")? + "\"result\":".len();
-            Some(line[i..line.len() - 1].to_string())
+    /// The entry as one newline-terminated JSONL line: key, outcome and
+    /// attempts, then `result` on an ok line or `detail` on any other.
+    pub fn to_line(&self) -> String {
+        let (name, value) = if self.outcome == "ok" {
+            ("result", &self.result_raw)
         } else {
-            None
+            ("detail", &self.detail_raw)
         };
+        format!(
+            "{{\"key\":\"{}\",\"outcome\":\"{}\",\"attempts\":{},\"{name}\":{}}}\n",
+            json::escape(&self.key),
+            json::escape(&self.outcome),
+            self.attempts,
+            value.as_deref().unwrap_or("null")
+        )
+    }
+
+    /// Strict parse of one line [`JournalEntry::to_line`] wrote: the whole
+    /// line is one JSON object with exactly its members, in order. A line
+    /// torn by a crash mid-write is refused (no proper prefix of an object
+    /// is JSON) and its cell re-runs, which is always safe.
+    pub fn parse(line: &str) -> Option<JournalEntry> {
+        let doc = json::parse(line)?;
+        let outcome = doc.root().get("outcome")?.as_str()?;
+        let last = if outcome == "ok" { "result" } else { "detail" };
+        let [key, _, attempts, value] = doc.root().members(["key", "outcome", "attempts", last])?;
+        let raw = |name: &str| (last == name).then(|| value.raw().to_string());
         Some(JournalEntry {
-            key,
-            outcome,
-            attempts,
-            result_raw,
+            key: key.as_str()?.into_owned(),
+            outcome: outcome.into_owned(),
+            attempts: attempts.as_u64()?.try_into().ok()?,
+            result_raw: raw("result"),
+            detail_raw: raw("detail"),
         })
     }
-}
-
-/// Substring of `s` strictly between the first `start` marker and the
-/// next `end` marker after it.
-fn take_between<'a>(s: &'a str, start: &str, end: &str) -> Option<&'a str> {
-    let i = s.find(start)? + start.len();
-    let j = s[i..].find(end)? + i;
-    Some(&s[i..j])
 }
 
 /// Load a checkpoint journal, tolerating a missing file and a partial
@@ -463,12 +466,6 @@ impl Supervisor {
     /// whose key already has a decodable `ok` line are replayed from the
     /// journal without running, and a torn last line (no newline) is
     /// ended before anything is appended after it.
-    ///
-    /// # Panics
-    ///
-    /// On a key JSON would escape (a `"`, a `\` or a control character):
-    /// the journal could not read it back, so its cell would silently
-    /// re-run on every resume.
     pub fn run<T, R, F, C>(&self, cells: Vec<(String, T)>, codec: &C, run_fn: F) -> Campaign<R>
     where
         T: Send,
@@ -476,9 +473,6 @@ impl Supervisor {
         F: Fn(&T) -> Result<R, SimError> + Sync + Send,
         C: CellCodec<R> + Sync,
     {
-        if let Some((key, _)) = cells.iter().find(|(key, _)| json::escape(key) != *key) {
-            panic!("cell key {key:?} cannot be journaled: JSON escapes one of its characters");
-        }
         let mut cache: HashMap<String, String> = HashMap::new();
         if let Some(path) = &self.journal {
             for e in load_journal(path) {
@@ -566,7 +560,18 @@ impl Supervisor {
                 abort.store(true, Ordering::SeqCst);
             }
             if let Some(sink) = &sink {
-                let line = journal_line(&key, &outcome, attempts, codec);
+                let result_raw = match &outcome {
+                    CellOutcome::Ok(r) => Some(codec.encode(r)),
+                    _ => None,
+                };
+                let line = JournalEntry {
+                    key: key.clone(),
+                    outcome: outcome.class().to_string(),
+                    attempts,
+                    result_raw,
+                    detail_raw: outcome.detail_json(),
+                }
+                .to_line();
                 if let Ok(mut file) = sink.lock() {
                     let _ = file.write_all(line.as_bytes());
                     let _ = file.flush();
@@ -706,30 +711,6 @@ impl Supervisor {
     }
 }
 
-/// Render one journal line (newline-terminated) for a finished cell.
-fn journal_line<R, C: CellCodec<R>>(
-    key: &str,
-    outcome: &CellOutcome<R>,
-    attempts: u32,
-    codec: &C,
-) -> String {
-    match outcome {
-        CellOutcome::Ok(r) => format!(
-            "{{\"key\":\"{}\",\"outcome\":\"ok\",\"attempts\":{},\"result\":{}}}\n",
-            json::escape(key),
-            attempts,
-            codec.encode(r)
-        ),
-        other => format!(
-            "{{\"key\":\"{}\",\"outcome\":\"{}\",\"attempts\":{},\"detail\":{}}}\n",
-            json::escape(key),
-            other.class(),
-            attempts,
-            other.detail_json().unwrap_or_else(|| "null".to_string())
-        ),
-    }
-}
-
 /// A fresh per-process temp path for journals and sweep artifacts in
 /// tests and CI helpers (no tempdir dependency; the caller removes it).
 pub fn scratch_path(tag: &str) -> PathBuf {
@@ -769,34 +750,35 @@ mod tests {
         assert_eq!(e.outcome, "panicked");
         assert_eq!(e.result_raw, None);
 
-        // Torn writes: wherever the line is cut, it must never replay as
-        // the original cell. Most cuts fail a parse anchor outright; a
-        // cut can land just after a *nested* `}` and still parse, but
-        // then carries a torn `result_raw` that a strict codec rejects —
-        // the cache-load path drops it and the cell re-runs.
-        for cut in 1..ok.len() {
-            let torn = &ok[..cut];
-            match JournalEntry::parse(torn) {
-                None => {}
-                Some(e) => assert_ne!(
-                    e.result_raw.as_deref(),
-                    Some("{\"x\":[1,2]}"),
-                    "cut at {cut} replayed the full payload: {torn}"
-                ),
+        // Torn writes: wherever a line is cut, no proper prefix parses.
+        for line in [ok, failed] {
+            for cut in 0..line.len() {
+                assert_eq!(JournalEntry::parse(&line[..cut]), None, "cut at {cut}");
             }
         }
         assert_eq!(JournalEntry::parse(""), None);
         assert_eq!(JournalEntry::parse("garbage"), None);
     }
 
+    /// A key JSON escapes journals and reads back: its cell replays from
+    /// the cache on resume instead of re-running every time.
     #[test]
-    #[should_panic(expected = "cell key \"run \\\"7\\\"\" cannot be journaled")]
-    fn keys_the_journal_cannot_read_back_are_refused() {
-        let journal = scratch_path("supervisor-badkey");
-        let cells = vec![("ok".to_string(), 0u64), ("run \"7\"".to_string(), 1u64)];
-        Supervisor::new(ExecMode::Serial)
-            .with_journal(&journal)
-            .run(cells, &ok_codec(), |&c| Ok(c));
+    fn escaped_keys_journal_and_replay() {
+        let journal = scratch_path("supervisor-escaped-key");
+        let key = "run \"7\" C:\\tmp\n";
+        let runs = AtomicUsize::new(0);
+        let run_fn = |&c: &u64| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            Ok(c + 1)
+        };
+        let sup = Supervisor::new(ExecMode::Serial).with_journal(&journal);
+        let first = sup.run(vec![(key.to_string(), 41u64)], &ok_codec(), run_fn);
+        assert_eq!(load_journal(&journal)[0].key, key);
+        let second = sup.run(vec![(key.to_string(), 41u64)], &ok_codec(), run_fn);
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the cell replayed");
+        assert_eq!(second.report().cached, 1);
+        assert_eq!(first.into_results(), second.into_results());
+        let _ = std::fs::remove_file(&journal);
     }
 
     #[test]

@@ -40,20 +40,24 @@ pub struct ClassCounts {
     pub rp_transition: u64,
     /// Fault-plan transitions.
     pub fault: u64,
+    /// Sanitizer events: PFC pause edges and run verdicts.
+    pub sanitizer: u64,
 }
 
 impl ClassCounts {
     fn tally(events: &[SimEvent]) -> ClassCounts {
         let mut c = ClassCounts::default();
         for e in events {
-            match e.class() {
-                EventMask::DROP => c.drop += 1,
-                EventMask::PFC => c.pfc += 1,
-                EventMask::CNP => c.cnp += 1,
-                EventMask::CP_DECISION => c.cp_decision += 1,
-                EventMask::RP_TRANSITION => c.rp_transition += 1,
-                _ => c.fault += 1,
-            }
+            let class = match e {
+                SimEvent::Drop { .. } => &mut c.drop,
+                SimEvent::Pfc { .. } => &mut c.pfc,
+                SimEvent::CnpEmit { .. } => &mut c.cnp,
+                SimEvent::CpDecision { .. } => &mut c.cp_decision,
+                SimEvent::RpTransition { .. } => &mut c.rp_transition,
+                SimEvent::Fault { .. } => &mut c.fault,
+                SimEvent::PauseEdge { .. } | SimEvent::Verdict { .. } => &mut c.sanitizer,
+            };
+            *class += 1;
         }
         c
     }
@@ -116,7 +120,7 @@ fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
         concat!(
             "{{\"scenario\":\"{}\",\"flows\":{},\"completed\":{},",
             "\"events\":{{\"total\":{},\"drop\":{},\"pfc\":{},\"cnp\":{},",
-            "\"cp_decision\":{},\"rp_transition\":{},\"fault\":{}}},",
+            "\"cp_decision\":{},\"rp_transition\":{},\"fault\":{},\"sanitizer\":{}}},",
             "\"cp_decisions\":{{\"md_to_min\":{},\"md_halve\":{},\"pi\":{}}},",
             "\"rp_transitions\":{{\"install\":{},\"rate_update\":{},",
             "\"cp_switch\":{},\"recovery_double\":{},\"uninstall\":{}}},",
@@ -132,6 +136,7 @@ fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
         counts.cp_decision,
         counts.rp_transition,
         counts.fault,
+        counts.sanitizer,
         cp_kind_count(&events, CpDecisionKind::MdToMin),
         cp_kind_count(&events, CpDecisionKind::MdHalve),
         cp_kind_count(&events, CpDecisionKind::Pi),
@@ -365,5 +370,54 @@ mod tests {
             // Names resolve; actually running them is covered above.
             assert!(["incast", "recovery"].contains(&s));
         }
+    }
+
+    /// Every event lands in exactly one named class, so the classes sum
+    /// to the timeline's length (the summary's `events.total`).
+    #[test]
+    fn tally_names_every_class() {
+        let t = SimTime::from_micros(1);
+        let (node, flow) = (NodeId(1), FlowId(2));
+        let cp = CpId {
+            node,
+            port: PortId(0),
+        };
+        let events = [
+            SimEvent::Drop {
+                t,
+                node,
+                flow,
+                cause: DropCause::FaultLoss,
+            },
+            SimEvent::Pfc {
+                t,
+                node,
+                port: PortId(0),
+                pause: true,
+            },
+            SimEvent::CnpEmit {
+                t,
+                cp,
+                flow,
+                fair_rate_units: 1,
+            },
+            SimEvent::PauseEdge {
+                t,
+                from: cp,
+                to: cp,
+            },
+            SimEvent::Verdict {
+                t,
+                kind: VerdictKind::PfcDeadlock,
+                cycle_len: 2,
+            },
+        ];
+        let c = ClassCounts::tally(&events);
+        assert_eq!(
+            (c.drop, c.pfc, c.cnp, c.fault, c.sanitizer),
+            (1, 1, 1, 0, 2)
+        );
+        let sum = c.drop + c.pfc + c.cnp + c.cp_decision + c.rp_transition + c.fault + c.sanitizer;
+        assert_eq!(sum, events.len() as u64);
     }
 }

@@ -7,11 +7,18 @@
 
 use proptest::prelude::*;
 use rocc_experiments::fct::{
-    fct_grid, run_fat_tree, BufferRegime, FatTreeConfig, Workload,
+    fct_grid_supervised, run_fat_tree, BufferRegime, FatTreeConfig, SchemeFcts, Workload,
 };
 use rocc_experiments::parallel::{map_cells, ExecMode};
+use rocc_experiments::supervisor::Supervisor;
 use rocc_experiments::Scheme;
 use rocc_sim::prelude::*;
+
+/// The FbHadoop 50% PFC grid at `cfg` under a keep-going supervisor.
+fn grid_rows(cfg: &FatTreeConfig, mode: ExecMode) -> Vec<SchemeFcts> {
+    let sup = Supervisor::new(mode);
+    fct_grid_supervised(Workload::FbHadoop, 0.5, cfg, BufferRegime::Pfc, &sup).0
+}
 
 /// Miniature fat-tree config: big enough to exercise real contention,
 /// small enough that 3 schemes × 5 reps × 2 modes stays test-sized.
@@ -30,20 +37,8 @@ fn tiny(reps: usize) -> FatTreeConfig {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let cfg = tiny(5);
-    let serial = fct_grid(
-        Workload::FbHadoop,
-        0.5,
-        &cfg,
-        BufferRegime::Pfc,
-        ExecMode::Serial,
-    );
-    let parallel = fct_grid(
-        Workload::FbHadoop,
-        0.5,
-        &cfg,
-        BufferRegime::Pfc,
-        ExecMode::Parallel,
-    );
+    let serial = grid_rows(&cfg, ExecMode::Serial);
+    let parallel = grid_rows(&cfg, ExecMode::Parallel);
     assert_eq!(serial.len(), 3);
     assert_eq!(parallel.len(), 3);
     for (s, p) in serial.iter().zip(&parallel) {
@@ -53,19 +48,13 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     }
 }
 
-/// Grid order: `fct_grid` must aggregate cell (si, rep) into row si no
+/// Grid order: `fct_grid_supervised` must aggregate cell (si, rep) into row si no
 /// matter which worker ran it. Rerunning one cell standalone must
 /// reproduce what the grid saw (cells share no state).
 #[test]
 fn grid_cells_are_independent_and_order_stable() {
     let cfg = tiny(2);
-    let rows = fct_grid(
-        Workload::FbHadoop,
-        0.5,
-        &cfg,
-        BufferRegime::Pfc,
-        ExecMode::Parallel,
-    );
+    let rows = grid_rows(&cfg, ExecMode::Parallel);
     let expected: Vec<Scheme> = Scheme::large_scale_set().to_vec();
     let got: Vec<Scheme> = rows.iter().map(|r| r.scheme).collect();
     assert_eq!(got, expected, "rows must follow large_scale_set order");

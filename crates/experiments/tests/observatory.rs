@@ -93,8 +93,9 @@ fn observed_runs_are_reproducible() {
 }
 
 /// `load_summary` refuses what it cannot read, naming the file and line:
-/// a file that is not JSON, and a run whose last row was cut off
-/// mid-object. The same rows whole load.
+/// a file that is not JSON, a run whose last row was cut off mid-object,
+/// a torn row spliced onto the next, two rows on one line, and a float in
+/// an integer field. The same rows whole load.
 #[test]
 fn load_summary_refuses_unreadable_rows() {
     let dir = tmp_dir("load_summary");
@@ -127,5 +128,26 @@ fn load_summary_refuses_unreadable_rows() {
     let garbage = write("garbage.jsonl", "not json at all\n");
     let err = load_summary(&garbage).expect_err("a non-JSON file is refused");
     assert!(err.starts_with(&format!("{garbage}:1:")), "{err}");
+
+    // A row torn mid-object with the next row written onto its tail, two
+    // rows on one line, and a float in an integer field: each still
+    // carries every member name a row needs, and each is refused.
+    let (first, second) = rows.split_once('\n').unwrap();
+    let spliced = format!("{first}\n{}{second}", &first[..first.len() / 2]);
+    let doubled = format!("{first}\n{first}{second}");
+    let pfc = MetricRow::Pfc {
+        t: SimTime::from_nanos(3000),
+        cum_pause_ns: 12,
+    };
+    let float = format!("{rows}{}\n", pfc.to_json().replace(":12}", ":12.5e9}"));
+    for (name, doc, line) in [
+        ("spliced.jsonl", spliced, 2),
+        ("doubled.jsonl", doubled, 2),
+        ("float.jsonl", float, 3),
+    ] {
+        let path = write(name, &doc);
+        let err = load_summary(&path).expect_err(name);
+        assert!(err.starts_with(&format!("{path}:{line}:")), "{err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -34,7 +34,7 @@
 //! comparable with every other artifact digest the repo emits.
 
 use crate::engine::Sim;
-use rocc_stats::digest::{fnv1a_64, Fnv64};
+use rocc_stats::digest::{fnv1a_64, parse_hex_digest, Fnv64};
 use rocc_stats::json;
 
 /// Schema tag written on every digest-ledger JSONL line.
@@ -127,7 +127,7 @@ impl ComponentDigests {
                 s.push(',');
             }
             s.push('"');
-            s.push_str(n);
+            s.push_str(&json::escape(n));
             s.push_str("\":\"");
             s.push_str(&format!("{d:016x}"));
             s.push('"');
@@ -300,47 +300,28 @@ pub fn parse_ledger_jsonl(text: &str) -> ParsedLedger {
     ParsedLedger { entries, torn_tail }
 }
 
+/// Strict parse of one row [`DigestLedger::to_jsonl`] wrote: one JSON
+/// object with exactly its members, in order, and at least one digest in
+/// [`rocc_stats::digest::hex_digest`] form.
 fn parse_ledger_line(line: &str) -> Option<DigestLedgerEntry> {
-    if !line.starts_with('{') || !line.ends_with('}') {
+    let doc = json::parse(line)?;
+    let [schema, events, t_ns, digests] =
+        doc.root().members(["schema", "event", "t_ns", "digests"])?;
+    if schema.as_str()? != DIGEST_LEDGER_SCHEMA {
         return None;
     }
-    if !line.contains(&format!("\"schema\":\"{DIGEST_LEDGER_SCHEMA}\"")) {
-        return None;
-    }
-    let events = scan_u64(line, "\"event\":")?;
-    let t_ns = scan_u64(line, "\"t_ns\":")?;
-    let dpos = line.find("\"digests\":{")?;
-    let body = &line[dpos + "\"digests\":{".len()..];
-    let end = body.find('}')?;
-    let body = &body[..end];
-    let mut digests = Vec::new();
-    for pair in body.split(',') {
-        if pair.trim().is_empty() {
-            continue;
-        }
-        let (k, v) = pair.split_once(':')?;
-        let name = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-        let hex = v.trim().strip_prefix('"')?.strip_suffix('"')?;
-        if hex.len() != 16 {
-            return None;
-        }
-        let d = u64::from_str_radix(hex, 16).ok()?;
-        digests.push((name.to_string(), d));
-    }
+    let digests: Vec<(String, u64)> = digests
+        .entries()?
+        .map(|(name, d)| Some((name.into_owned(), parse_hex_digest(&d.as_str()?)?)))
+        .collect::<Option<_>>()?;
     if digests.is_empty() {
         return None;
     }
-    Some(DigestLedgerEntry { events, t_ns, digests: ComponentDigests::from_entries(digests) })
-}
-
-fn scan_u64(line: &str, key: &str) -> Option<u64> {
-    let pos = line.find(key)? + key.len();
-    let rest = &line[pos..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
+    Some(DigestLedgerEntry {
+        events: events.as_u64()?,
+        t_ns: t_ns.as_u64()?,
+        digests: ComponentDigests::from_entries(digests),
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,18 @@ struct CpState {
 
 struct_codec!(CpState { fair_rate_units, region, alpha, beta });
 
+/// The metrics JSONL schema: each row type's members after `t_ns` and
+/// `type`, in the order [`MetricRow::to_json`] writes them.
+const ROW_FIELDS: [(&str, &[&str]); 4] = [
+    ("queue", &["node", "port", "bytes"]),
+    (
+        "cp",
+        &["node", "port", "fair_rate_units", "region", "alpha", "beta"],
+    ),
+    ("flow", &["flow", "rp_bps", "goodput_bps"]),
+    ("pfc", &["cum_pause_ns"]),
+];
+
 /// One time-series sample. Serialized as one JSONL line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricRow {
@@ -133,6 +145,54 @@ impl MetricRow {
                 cum_pause_ns
             ),
         }
+    }
+
+    /// Read one metrics JSONL line back as a whole row: one JSON object of
+    /// `t_ns`, a known `type` and exactly that type's fields
+    /// (`ROW_FIELDS`), in order, each holding a value its field can take.
+    pub fn from_json(line: &str) -> Option<MetricRow> {
+        let doc = json::parse(line)?;
+        let mut members = doc.root().entries()?;
+        let ((k_t, t), (k_ty, ty)) = (members.next()?, members.next()?);
+        let ty = ty.as_str()?;
+        let (_, names) = ROW_FIELDS.iter().find(|(name, _)| *name == ty)?;
+        let rest: Vec<_> = members.collect();
+        if k_t != "t_ns" || k_ty != "type" || !rest.iter().map(|(k, _)| k).eq(names.iter()) {
+            return None;
+        }
+        let t = SimTime::from_nanos(t.as_u64()?);
+        let int = |i: usize| rest[i].1.as_u64();
+        let id = |i: usize| usize::try_from(int(i)?).ok();
+        let units = |i: usize| u32::try_from(int(i)?).ok();
+        Some(match &*ty {
+            "queue" => MetricRow::Queue {
+                t,
+                node: NodeId(id(0)?),
+                port: PortId(id(1)?),
+                bytes: int(2)?,
+            },
+            "cp" => MetricRow::Cp {
+                t,
+                cp: CpId {
+                    node: NodeId(id(0)?),
+                    port: PortId(id(1)?),
+                },
+                fair_rate_units: units(2)?,
+                region: units(3)?,
+                alpha: rest[4].1.as_f64()?,
+                beta: rest[5].1.as_f64()?,
+            },
+            "flow" => MetricRow::Flow {
+                t,
+                flow: FlowId(int(0)?),
+                rp_bps: int(1)?,
+                goodput_bps: int(2)?,
+            },
+            _ => MetricRow::Pfc {
+                t,
+                cum_pause_ns: int(0)?,
+            },
+        })
     }
 }
 
@@ -402,5 +462,28 @@ mod tests {
         };
         assert!(r.to_json().contains("\"type\":\"flow\""));
         assert!(r.to_json().contains("\"rp_bps\":1000000"));
+    }
+
+    #[test]
+    fn metric_rows_decode_whole_or_not_at_all() {
+        let line = "{\"t_ns\":3000,\"type\":\"queue\",\"node\":2,\"port\":1,\"bytes\":4096}";
+        let row = MetricRow::Queue {
+            t: SimTime::from_nanos(3000),
+            node: NodeId(2),
+            port: PortId(1),
+            bytes: 4096,
+        };
+        assert_eq!(MetricRow::from_json(line), Some(row));
+        for bad in [
+            "{\"t_ns\":3000,\"type\":\"queue\",\"node\":2,\"port\":1}",
+            "{\"t_ns\":3000,\"type\":\"queue\",\"node\":2,\"bytes\":4096,\"port\":1}",
+            "{\"t_ns\":3000,\"type\":\"queue\",\"node\":2,\"port\":1,\"bytes\":4096,\"x\":0}",
+            "{\"t_ns\":3000,\"type\":\"queue\",\"node\":2,\"port\":1,\"bytes\":4.5}",
+            "{\"t_ns\":3000,\"type\":\"tide\",\"node\":2,\"port\":1,\"bytes\":4096}",
+            "{\"type\":\"queue\",\"t_ns\":3000,\"node\":2,\"port\":1,\"bytes\":4096}",
+            "{\"t_ns\":3000,\"type\":\"cp\",\"node\":0,\"port\":0,\"fair_rate_units\":4294967296,\"region\":0,\"alpha\":0.5,\"beta\":1.5}",
+        ] {
+            assert_eq!(MetricRow::from_json(bad), None, "{bad}");
+        }
     }
 }

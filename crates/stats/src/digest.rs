@@ -78,6 +78,13 @@ pub fn hex_digest(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a_64(bytes))
 }
 
+/// Read back a digest in [`hex_digest`]'s form: exactly 16 lowercase hex
+/// digits, so the digest re-renders as the same text.
+pub fn parse_hex_digest(s: &str) -> Option<u64> {
+    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    canonical.then(|| u64::from_str_radix(s, 16).ok()).flatten()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,6 +102,20 @@ mod tests {
         h.write(&data[..7]);
         h.write(&data[7..]);
         assert_eq!(h.finish(), fnv1a_64(data));
+    }
+
+    #[test]
+    fn hex_digests_read_back_only_in_canonical_form() {
+        let h = hex_digest(b"foobar");
+        assert_eq!(parse_hex_digest(&h), Some(fnv1a_64(b"foobar")));
+        for bad in [
+            "85944171F73967E8",
+            "+5944171f73967e8",
+            "85944171f73967e",
+            "",
+        ] {
+            assert_eq!(parse_hex_digest(bad), None, "{bad}");
+        }
     }
 
     #[test]
