@@ -18,6 +18,13 @@ def refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
+def unique(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"duplicate key among {[k for k, _ in pairs]}")
+    return obj
+
+
 def documents(arg):
     if arg == "-":
         yield "<stdin>", sys.stdin.read()
@@ -38,7 +45,7 @@ count = 0
 for arg in sys.argv[1:]:
     for name, doc in documents(arg):
         try:
-            json.loads(doc, parse_constant=refuse)
+            json.loads(doc, parse_constant=refuse, object_pairs_hook=unique)
         except ValueError as e:
             sys.exit(f"{name}: {e}")
         count += 1

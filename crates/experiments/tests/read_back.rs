@@ -192,3 +192,36 @@ fn every_record_rewrites_byte_identically_and_no_prefix_reads() {
         }
     }
 }
+
+/// A journal the parent writer left, whose `RunOutput` floats are in
+/// `{:?}` form (`1.25e-5`, `3.0`, `1e-7`), still replays: its line decodes
+/// to the same field values, bit for bit, as the line written today.
+#[test]
+fn a_run_output_line_in_the_old_float_form_decodes_to_the_same_values() {
+    let old = concat!(
+        r#"{"fcts":[[1000,1.25e-5],[18446744073709551615,0.1],[64,3.0]],"pfc":[1,0,7],"#,
+        r#""q":[0.0,1536.5,1e-7],"retx_bytes":0,"tx_data_bytes":99,"drops":2,"#,
+        r#""offered_flows":3,"all_completed":false}"#
+    );
+    let value = RunOutput {
+        fcts: vec![(1_000, 1.25e-5), (u64::MAX, 0.1), (64, 3.0)],
+        pfc_core: 1,
+        pfc_ingress: 0,
+        pfc_egress: 7,
+        q_core: 0.0,
+        q_ingress: 1536.5,
+        q_egress: 1e-7,
+        retx_bytes: 0,
+        tx_data_bytes: 99,
+        drops: 2,
+        offered_flows: 3,
+        all_completed: false,
+    };
+    let new = value.to_json();
+    assert_ne!(new, old, "the float form did change");
+    let (old, new) = (RunOutput::from_json(old), RunOutput::from_json(&new));
+    // `{:?}` prints each float's shortest round-trip form, so equal
+    // renderings are equal bits.
+    assert_eq!(format!("{old:?}"), format!("{:?}", Some(&value)));
+    assert_eq!(format!("{new:?}"), format!("{:?}", Some(&value)));
+}
