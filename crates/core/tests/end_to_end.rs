@@ -140,9 +140,9 @@ fn queue_stabilizes_near_qref() {
 fn link_stays_highly_utilized() {
     let (mut sim, _, sw, port) = dumbbell(10, 40);
     sim.run_until(SimTime::from_millis(4));
-    let (_, tx0) = sim.switch(sw).snapshot(port);
+    let (_, tx0) = sim.switch(sw).snapshot(port, sim.kernel.now);
     sim.run_until(SimTime::from_millis(8));
-    let (_, tx1) = sim.switch(sw).snapshot(port);
+    let (_, tx1) = sim.switch(sw).snapshot(port, sim.kernel.now);
     let util = (tx1 - tx0) as f64 * 8.0 / 4e-3 / 40e9;
     assert!(util > 0.9, "bottleneck utilization {util:.3} below 90%");
 }

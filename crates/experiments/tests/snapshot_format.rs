@@ -1,4 +1,4 @@
-//! The `rocc-snapshot/v4` wire format, pinned.
+//! The `rocc-snapshot/v5` wire format, pinned.
 //!
 //! Each case runs a scheme to two event cut points and compares the full
 //! snapshot bytes — length and FNV-1a-64 — against constants captured
@@ -118,8 +118,8 @@ fn rocc_chaos_with_everything_on() {
         chaos_everything_on(),
         chaos_everything_on,
         [
-            (10_000, 112_771, 0x55e6_ee6a_3d2f_9e2c),
-            (42_000, 215_690, 0xd7fd_ea68_d847_ebb2),
+            (10_000, 113_302, 0xbee7_3e07_452e_4594),
+            (42_000, 232_561, 0x982e_f984_2c7c_c7f0),
         ],
     );
 }
@@ -128,8 +128,8 @@ fn rocc_chaos_with_everything_on() {
 fn hpcc_incast_with_int_stacks_in_flight() {
     let build = || incast(Scheme::Hpcc, 6, 3);
     let pins = [
-        (2_000, 23_293, 0xc55f_e05b_fadf_18cc),
-        (10_000, 24_061, 0xe021_f610_bcc6_1da9),
+        (2_000, 23_909, 0xe1ed_4d9c_d67b_6aa3),
+        (10_000, 23_930, 0x8c7f_3f09_32c4_0703),
     ];
     check("hpcc", build(), build, pins);
 }
@@ -138,8 +138,8 @@ fn hpcc_incast_with_int_stacks_in_flight() {
 fn qcn_incast_with_feedback_in_flight() {
     let build = || incast(Scheme::Qcn, 8, 5);
     let pins = [
-        (2_000, 52_987, 0x83a3_f41c_fb46_afe5),
-        (6_000, 126_075, 0x3634_e6fe_30e8_af71),
+        (2_000, 55_038, 0xb291_26df_7169_8669),
+        (6_000, 130_789, 0x210f_9e77_a8ca_30ab),
     ];
     check("qcn", build(), build, pins);
 }
@@ -147,35 +147,35 @@ fn qcn_incast_with_feedback_in_flight() {
 #[test]
 fn dcqcn_incast_with_rates_cut() {
     let build = || incast(Scheme::Dcqcn, 8, 11);
-    let pins = [(6_000, 109_640, 0x67bc_563d_f081_3425), (20_000, 135_292, 0xe118_dfb7_9c98_8f7d)];
+    let pins = [(6_000, 113_251, 0xa111_b120_4cf9_9474), (20_000, 134_363, 0x6799_6100_dd4d_7f00)];
     check("dcqcn", build(), build, pins);
 }
 
 #[test]
 fn dcqcn_pi_incast_with_marking_probability_up() {
     let build = || incast(Scheme::DcqcnPi, 8, 13);
-    let pins = [(6_000, 136_081, 0xd723_1889_c8c4_2ddc), (20_000, 174_886, 0xc09f_b04d_114a_5c24)];
+    let pins = [(6_000, 141_693, 0x92a5_467c_18a3_5d1f), (20_000, 171_548, 0x8f5e_6574_319d_f670)];
     check("dcqcn+pi", build(), build, pins);
 }
 
 #[test]
 fn timely_incast_with_rtt_gradient() {
     let build = || incast(Scheme::Timely, 8, 17);
-    let pins = [(6_000, 115_288, 0x5a3a_e029_dd76_cbb2), (20_000, 125_689, 0x5036_4bd9_81a8_02e4)];
+    let pins = [(6_000, 118_718, 0x8b42_46ac_7da1_f2e6), (20_000, 122_992, 0x0d2e_fc0b_fdf2_94e5)];
     check("timely", build(), build, pins);
 }
 
 #[test]
 fn timely_patched_incast() {
     let build = || incast(Scheme::TimelyPatched, 8, 19);
-    let pins = [(6_000, 135_513, 0xf384_750e_099a_25d6), (20_000, 173_798, 0xa5d3_53f6_062d_050c)];
+    let pins = [(6_000, 141_455, 0x830e_c83a_903d_444b), (20_000, 170_445, 0x9a55_0075_7b5e_953d)];
     check("timely+patch", build(), build, pins);
 }
 
 #[test]
 fn no_cc_incast() {
     let build = || incast(Scheme::None, 8, 23);
-    let pins = [(6_000, 135_129, 0xfd23_4e75_4253_1759), (20_000, 173_017, 0x796d_8b0b_14d2_99ed)];
+    let pins = [(6_000, 141_071, 0xe40d_d95b_b10a_eea7), (20_000, 169_543, 0x1c34_966c_5c22_67dc)];
     check("none", build(), build, pins);
 }
 
@@ -189,7 +189,7 @@ fn rocc_host_computed_incast_with_replicas() {
             29,
         )
     };
-    let pins = [(6_000, 132_619, 0x4bf7_8aa2_5dea_dd79), (20_000, 117_740, 0x29bf_6b4e_2ac0_6509)];
+    let pins = [(6_000, 133_210, 0x70b5_1b2b_695c_54a8), (20_000, 118_010, 0xa669_9866_d478_5116)];
     check("rocc host-computed", build(), build, pins);
 }
 
@@ -207,7 +207,7 @@ fn rocc_bounded_age_table_incast() {
             31,
         )
     };
-    let pins = [(6_000, 132_823, 0xfb17_e49a_c34d_32cd), (20_000, 124_282, 0xe570_4810_d57a_197b)];
+    let pins = [(6_000, 135_187, 0x98fd_ed39_ce27_ca94), (20_000, 123_759, 0x640f_ca83_73d2_0998)];
     check("rocc bounded-age", build(), build, pins);
 }
 
@@ -225,6 +225,6 @@ fn rocc_sampling_table_incast() {
             37,
         )
     };
-    let pins = [(6_000, 132_823, 0xbdb3_969f_8a30_6207), (20_000, 124_743, 0xca1b_68c2_3461_df62)];
+    let pins = [(6_000, 135_195, 0x9648_c18a_a457_32ba), (20_000, 123_560, 0x7a53_ca7e_67b2_aaf7)];
     check("rocc sampling", build(), build, pins);
 }

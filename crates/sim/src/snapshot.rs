@@ -1,4 +1,4 @@
-//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v4` format.
+//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v5` format.
 //!
 //! A snapshot captures the complete *dynamic* state of a [`crate::engine::Sim`]
 //! — scheduler heap, packet slab, switch queues and PFC state, host
@@ -31,9 +31,10 @@
 //! written into becomes the snapshot in place, without a copy.)
 //! Corruption of any byte is caught by the trailer before any state is
 //! applied. There is no reader for older versions (snapshots are ephemeral
-//! checkpoints): v4 differs from v3 only in two sections, where `kernel`
-//! lost the schedule-clamp count and timestamp (a schedule behind the
-//! clock now panics) and `run` the three profile-window anchors. The
+//! checkpoints): v5 differs from v4 only in the `switch/N` sections, where
+//! each port lost its `busy` flag and in-serialization frame and gained
+//! the last frame's wire bytes, `busy_until` and the drain-queued flag
+//! (a frame's `Arrive` is queued when its serialization starts). The
 //! per-subsystem state digests of
 //! [`crate::digest`] are the FNV-1a-64 of these same section payloads, so
 //! equal snapshots have equal digests by construction.
@@ -52,7 +53,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v4";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v5";
 
 /// [`SNAPSHOT_MAGIC`] as text, for every message that names the format.
 pub const SNAPSHOT_FORMAT: &str = match std::str::from_utf8(SNAPSHOT_MAGIC) {
@@ -1069,7 +1070,7 @@ mod tests {
     }
 
     /// One hand-built value per variant of every enum a snapshot encodes,
-    /// with its `rocc-snapshot/v4` bytes. Variants no pinned run reaches
+    /// with its `rocc-snapshot/v5` bytes. Variants no pinned run reaches
     /// (verdicts, pause edges, host crashes, CC timer tokens) are held
     /// here. Field values are distinct small numbers so a dump is legible:
     /// ids are u64 little-endian, tags one byte, `f64`s their IEEE bits.

@@ -9,6 +9,14 @@
 //! PFC frames are MAC control frames — they bypass queues entirely and are
 //! delivered after one propagation delay.
 //!
+//! Everything a switch does with a frame happens when its serialization
+//! *starts*: the dequeue, the CC `on_dequeue` hook, the PFC release, and
+//! the frame's `Arrive` at the far end (`now + ser + delay`). The port is
+//! then busy until `now + ser` and free from that instant on. Only a port
+//! with a sendable frame waiting behind it queues a
+//! [`Event::SwitchTxDone`] "drain" at its `busy_until`; an idle port
+//! schedules nothing.
+//!
 //! A pluggable [`SwitchCc`] instance per egress port observes enqueues and
 //! dequeues (ECN marking, INT stamping) and may run a periodic timer that
 //! emits feedback packets toward flow sources (the RoCC congestion point).
@@ -27,10 +35,10 @@ use crate::trace::Trace;
 use crate::units::BitRate;
 use std::collections::VecDeque;
 
-/// A packet waiting in (or leaving) an egress queue, remembering which
-/// ingress port it arrived on (None for switch-generated feedback). The
-/// packet itself stays in the kernel's slab: forwarding moves an 8-byte
-/// entry between queues instead of cloning the packet per hop.
+/// A packet waiting in an egress queue, remembering which ingress port it
+/// arrived on (None for switch-generated feedback). The packet itself
+/// stays in the kernel's slab: forwarding moves an 8-byte entry between
+/// queues instead of cloning the packet per hop.
 #[derive(Debug, Clone, Copy)]
 struct QueuedPacket {
     pr: PacketRef,
@@ -47,18 +55,23 @@ pub struct Port {
     data_q: VecDeque<QueuedPacket>,
     /// Bytes currently in `data_q`.
     qlen_bytes: u64,
-    /// True while serializing a packet.
-    busy: bool,
     /// True after receiving PFC PAUSE from the downstream neighbor.
     paused: bool,
     /// Outgoing link on this port.
     link: LinkId,
     /// Line rate of the outgoing link.
     rate: BitRate,
-    /// Cumulative bytes transmitted.
+    /// Cumulative bytes of every frame whose serialization has started,
+    /// the one on the wire until `busy_until` included (see
+    /// [`Port::tx_bytes`]).
     tx_bytes: u64,
-    /// Packet currently being serialized.
-    in_flight: Option<QueuedPacket>,
+    /// Wire bytes of the frame that started last.
+    tx_last: u64,
+    /// The instant the frame on the wire finishes; the port is free from
+    /// then on.
+    busy_until: SimTime,
+    /// A drain ([`Event::SwitchTxDone`]) is queued for this port.
+    drain_queued: bool,
     /// Congestion-control instance for this egress port.
     cc: Box<dyn SwitchCc>,
 }
@@ -69,9 +82,14 @@ impl Port {
         self.qlen_bytes
     }
 
-    /// Cumulative bytes transmitted.
-    pub fn tx_bytes(&self) -> u64 {
-        self.tx_bytes
+    /// Cumulative bytes transmitted by `now`: the frame on the wire counts
+    /// once its serialization has ended (`now >= busy_until`).
+    pub fn tx_bytes(&self, now: SimTime) -> u64 {
+        if now >= self.busy_until {
+            self.tx_bytes
+        } else {
+            self.tx_bytes - self.tx_last
+        }
     }
 
     /// Egress line rate.
@@ -82,6 +100,12 @@ impl Port {
     /// True if this port has received PAUSE and not yet RESUME.
     pub fn is_paused(&self) -> bool {
         self.paused
+    }
+
+    /// A frame could start the moment the port is free: control always,
+    /// data unless paused.
+    fn has_sendable(&self) -> bool {
+        !self.ctrl_q.is_empty() || (!self.paused && !self.data_q.is_empty())
     }
 }
 
@@ -117,12 +141,13 @@ impl Switch {
                     ctrl_q: VecDeque::new(),
                     data_q: VecDeque::new(),
                     qlen_bytes: 0,
-                    busy: false,
                     paused: false,
                     link,
                     rate,
                     tx_bytes: 0,
-                    in_flight: None,
+                    tx_last: 0,
+                    busy_until: SimTime::ZERO,
+                    drain_queued: false,
                     cc: make_cc(
                         CpId {
                             node: id,
@@ -153,27 +178,16 @@ impl Switch {
         self.ports.len()
     }
 
-    /// Total wire bytes resident in this switch: every control queue, data
-    /// queue, and in-serialization frame across all ports. Conservation
-    /// audits count these as in-network. Queues hold slab refs, so audits
-    /// resolve them through `packets`.
+    /// Total wire bytes queued in this switch: every control and data
+    /// queue across all ports. Conservation audits count these as
+    /// in-network. A frame being serialized is not here: its `Arrive` is
+    /// already queued, so the heap ledger counts it. Queues hold slab
+    /// refs, so audits resolve them through `packets`.
     pub fn buffered_wire_bytes(&self, packets: &PacketSlab) -> u64 {
         self.ports
             .iter()
-            .map(|p| {
-                p.ctrl_q
-                    .iter()
-                    .map(|q| packets.get(q.pr).wire_bytes())
-                    .sum::<u64>()
-                    + p.data_q
-                        .iter()
-                        .map(|q| packets.get(q.pr).wire_bytes())
-                        .sum::<u64>()
-                    + p.in_flight
-                        .as_ref()
-                        .map(|q| packets.get(q.pr).wire_bytes())
-                        .unwrap_or(0)
-            })
+            .flat_map(|p| p.ctrl_q.iter().chain(&p.data_q))
+            .map(|q| packets.get(q.pr).wire_bytes())
             .sum()
     }
 
@@ -235,7 +249,7 @@ impl Switch {
             },
             qlen_bytes: port.qlen_bytes,
             link_rate: port.rate,
-            tx_bytes: port.tx_bytes,
+            tx_bytes: port.tx_bytes(k.now),
             rng: &mut k.rng,
             emits: Vec::new(),
             events: Vec::new(),
@@ -488,9 +502,11 @@ impl Switch {
         }
     }
 
-    /// Begin serializing the next packet on `p` if the port is idle.
+    /// Begin serializing the next packet on `p` if the port is free;
+    /// behind a busy port, make sure a drain is queued for what waits.
     fn try_start_tx(&mut self, k: &mut Kernel, topo: &Topology, trace: &mut Trace, p: PortId) {
-        if self.ports[p.0].busy || self.ports[p.0].in_flight.is_some() {
+        if k.now < self.ports[p.0].busy_until {
+            self.queue_drain(k, p);
             return;
         }
         // Control first; PFC pause gates only the data class.
@@ -543,22 +559,34 @@ impl Switch {
             None
         };
         let Some(qp) = qp else { return };
-        let ser = self.ports[p.0]
-            .rate
-            .serialization_time(k.packets.get(qp.pr).wire_bytes());
-        self.ports[p.0].busy = true;
-        self.ports[p.0].in_flight = Some(qp);
-        k.schedule(
-            k.now + ser,
-            Event::SwitchTxDone {
-                node: self.id,
-                port: p,
-            },
-        );
+        let wire = k.packets.get(qp.pr).wire_bytes();
+        let port = &mut self.ports[p.0];
+        port.busy_until = k.now + port.rate.serialization_time(wire);
+        port.tx_bytes += wire;
+        port.tx_last = wire;
+        let link = port.link;
+        k.schedule(port.busy_until + topo.link(link).delay, Event::Arrive { link, pr: qp.pr });
+        self.queue_drain(k, p);
     }
 
-    /// Serialization finished on `p`: hand the packet to the link.
-    pub fn handle_tx_done(
+    /// Queue a drain at `busy_until` of `p` if a sendable frame waits and
+    /// none is queued yet.
+    fn queue_drain(&mut self, k: &mut Kernel, p: PortId) {
+        let port = &mut self.ports[p.0];
+        if !port.drain_queued && port.has_sendable() {
+            port.drain_queued = true;
+            k.schedule(
+                port.busy_until,
+                Event::SwitchTxDone {
+                    node: self.id,
+                    port: p,
+                },
+            );
+        }
+    }
+
+    /// A drain came due on `p`: start the next frame waiting there.
+    pub fn handle_drain(
         &mut self,
         k: &mut Kernel,
         topo: &Topology,
@@ -566,16 +594,7 @@ impl Switch {
         p: PortId,
     ) {
         k.prof.enter(Phase::SwitchForward);
-        let qp = self.ports[p.0]
-            .in_flight
-            .take()
-            .expect("TxDone without in-flight packet");
-        let wire = k.packets.get(qp.pr).wire_bytes();
-        self.ports[p.0].tx_bytes += wire;
-        self.ports[p.0].busy = false;
-        let link = self.ports[p.0].link;
-        let delay = topo.link(link).delay;
-        k.schedule(k.now + delay, Event::Arrive { link, pr: qp.pr });
+        self.ports[p.0].drain_queued = false;
         self.try_start_tx(k, topo, trace, p);
     }
 
@@ -630,13 +649,15 @@ impl Switch {
         self.try_start_tx(k, topo, trace, p);
     }
 
-    /// Exact simulation-time snapshot of a port's state (sampling support).
-    pub fn snapshot(&self, p: PortId) -> (u64, u64) {
-        (self.ports[p.0].qlen_bytes, self.ports[p.0].tx_bytes)
+    /// Exact simulation-time snapshot of a port's state at `now`: data
+    /// queue bytes and [`Port::tx_bytes`] (sampling support).
+    pub fn snapshot(&self, p: PortId, now: SimTime) -> (u64, u64) {
+        let port = &self.ports[p.0];
+        (port.qlen_bytes, port.tx_bytes(now))
     }
 
     /// Serialize the switch's dynamic state: per-port queues (as slab
-    /// refs, verbatim FIFO order), transmit and PFC state, the CC word
+    /// refs, verbatim FIFO order), transmit, drain and PFC state, the CC word
     /// stream, and the ingress accounting vectors.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.ports.len());
@@ -644,10 +665,11 @@ impl Switch {
             w.put(&port.ctrl_q);
             w.put(&port.data_q);
             w.put(&port.qlen_bytes);
-            w.put(&port.busy);
             w.put(&port.paused);
             w.put(&port.tx_bytes);
-            w.put(&port.in_flight);
+            w.put(&port.tx_last);
+            w.put(&port.busy_until);
+            w.put(&port.drain_queued);
             let mut words = Vec::new();
             port.cc.snapshot_state(&mut words);
             w.put(&words);
@@ -670,10 +692,11 @@ impl Switch {
             port.ctrl_q = r.get()?;
             port.data_q = r.get()?;
             port.qlen_bytes = r.get()?;
-            port.busy = r.get()?;
             port.paused = r.get()?;
             port.tx_bytes = r.get()?;
-            port.in_flight = r.get()?;
+            port.tx_last = r.get()?;
+            port.busy_until = r.get()?;
+            port.drain_queued = r.get()?;
             restore_words(&mut *port.cc, &r.get::<Vec<u64>>()?)?;
         }
         let ingress_buffered: Vec<u64> = r.get()?;

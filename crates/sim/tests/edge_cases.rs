@@ -247,8 +247,8 @@ fn ecmp_spreads_fat_tree_flows_across_trunks() {
         });
     }
     sim.run_until_flows_done(SimTime::from_millis(100)).assert_complete();
-    let (_, tx0) = sim.switch(s0).snapshot(t0);
-    let (_, tx1) = sim.switch(s0).snapshot(t1);
+    let (_, tx0) = sim.switch(s0).snapshot(t0, sim.kernel.now);
+    let (_, tx1) = sim.switch(s0).snapshot(t1, sim.kernel.now);
     assert!(tx0 > 0 && tx1 > 0, "both trunks must carry data: {tx0} / {tx1}");
 }
 

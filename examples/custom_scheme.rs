@@ -169,9 +169,9 @@ fn run(
     let base: Vec<u64> = (0..N)
         .map(|i| sim.trace.delivered_bytes(FlowId(i as u64)))
         .collect();
-    let (_, t0) = sim.switch(sw).snapshot(port);
+    let (_, t0) = sim.switch(sw).snapshot(port, sim.kernel.now);
     sim.run_until(SimTime::from_millis(16));
-    let (_, t1) = sim.switch(sw).snapshot(port);
+    let (_, t1) = sim.switch(sw).snapshot(port, sim.kernel.now);
     let util = (t1 - t0) as f64 * 8.0 / 8e-3 / 40e9;
     let rates: Vec<f64> = (0..N)
         .map(|i| (sim.trace.delivered_bytes(FlowId(i as u64)) - base[i]) as f64 * 8.0 / 8e-3)

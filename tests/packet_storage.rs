@@ -149,5 +149,5 @@ fn hpcc_acks_echo_exactly_the_stamped_hops() {
         assert_eq!(echoed, &[first[k], second[k]], "ACK {k}");
     }
     let ack_bytes = 64 + 2 + 8 * 2;
-    assert_eq!(sim.switch(s1).snapshot(s1_to_h0).1, packets * ack_bytes);
+    assert_eq!(sim.switch(s1).snapshot(s1_to_h0, sim.kernel.now).1, packets * ack_bytes);
 }
