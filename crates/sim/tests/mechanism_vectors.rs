@@ -14,6 +14,7 @@
 //! dispatched. Unless a vector says otherwise, hosts send at line rate
 //! (`NullHostCcFactory`) and switches run no congestion control.
 
+use rocc_sim::host::SenderAudit;
 use rocc_sim::prelude::*;
 
 /// Payload that makes a full data frame exactly 1,000 wire bytes.
@@ -319,4 +320,173 @@ fn xoff_xon_round_trip() {
     assert_eq!(got[3], [(1_501, 1), (3_541, 0)], "s0 paused");
     let pauses: Vec<u64> = sim.trace.pfc_events.iter().map(|e| e.t.as_nanos()).collect();
     assert_eq!(pauses, [1_380]);
+}
+
+/// `h0 —8 Gb/s, 500 ns— sw —8 Gb/s, 500 ns— h1` with `cfg`, the one
+/// topology of the host vectors below; also returns sw's port toward h1.
+fn host_pair(cfg: SimConfig, flap: Option<(bool, u64, u64)>) -> (Sim, NodeId, NodeId, NodeId, PortId) {
+    let mut b = TopologyBuilder::new();
+    let sw = b.add_switch("sw", NodeRole::Switch);
+    let h0 = b.add_host("h0");
+    let h1 = b.add_host("h1");
+    b.connect(h0, sw, BitRate::from_gbps(8), ns(500));
+    let (to_h1, _) = b.connect(sw, h1, BitRate::from_gbps(8), ns(500));
+    let topo = b.build();
+    // A flap takes both directions of h0's (false) or h1's (true) link.
+    let fault_plan = match flap {
+        Some((at_h1, down, up)) => {
+            let link = topo.out_link(if at_h1 { h1 } else { h0 }, PortId(0));
+            FaultPlan::default().with_flap(link, SimTime::from_nanos(down), SimTime::from_nanos(up))
+        }
+        None => FaultPlan::default(),
+    };
+    let cfg = SimConfig { fault_plan, ..cfg };
+    let sim = Sim::new(topo, cfg, Box::new(NullHostCcFactory), Box::new(NullSwitchCcFactory));
+    (sim, sw, h0, h1, to_h1)
+}
+
+/// One word of `host`'s sender state for `flow` (0 once the flow is gone).
+fn sender<'a>(host: NodeId, flow: u64, word: fn(&SenderAudit) -> u64) -> Probe<'a> {
+    Box::new(move |s: &Sim| s.host(host).audit_senders().find(|a| a.flow == FlowId(flow)).map_or(0, |a| word(&a)))
+}
+
+/// **A paced sender below line rate.** [`host_pair`], one flow of four
+/// full frames at t = 0 with an offered rate of 4 Gb/s.
+///
+/// - At 4 Gb/s a 1,000-byte frame earns a 2,000 ns pacing gap, so h0
+///   starts frame k at 2000k and serializes it over [2000k, 2000k + 1000]
+///   at the 8 Gb/s line rate. The NIC idles over the other 1,000 ns; the
+///   ACKs that arrive meanwhile (frame k's at 2000k + 4128: 64 ns on each
+///   link plus 500 ns twice) do not move the pacing baseline.
+/// - Frame k reaches sw at start + ser + delay = 2000k + 1500. sw's port
+///   toward h1 is idle each time, so it sends frame k over
+///   [2000k + 1500, 2000k + 2500]: the port's transmitted bytes step by
+///   1,000 at 2000k + 2500.
+/// - h1 receives frame k at 2000k + 3000: 3000, 5000, 7000, 9000.
+#[test]
+fn paced_sender_below_line_rate() {
+    let (mut sim, sw, h0, h1, to_h1) = host_pair(config(kb(500)), None);
+    let mut paced = flow(0, h0, h1, 4, 0);
+    paced.offered = Some(BitRate::from_gbps(4));
+    sim.add_flow(paced);
+    let sent = |s: &Sim| s.trace.tx_data_bytes;
+    let wire = move |s: &Sim| s.switch(sw).port(to_h1).tx_bytes(s.kernel.now);
+    let got = timelines(&mut sim, 10_000, &[Box::new(sent), Box::new(wire), received(h1, 0)]);
+    assert_eq!(got[0], receipts(0, 2_000, 4), "h0 starts each frame");
+    let switched: Vec<(u64, u64)> = (1..=4).map(|k| (2_000 * k + 500, 1_000 * k)).collect();
+    assert_eq!(got[1], switched, "sw → h1 bytes on the wire");
+    assert_eq!(got[2], receipts(3_000, 2_000, 4), "receipts at h1");
+}
+
+/// **An ACK generated while the NIC is mid-frame leaves at exactly
+/// `busy_until`, ahead of queued data.** [`host_pair`]; flow B, h1 → h0,
+/// six full frames at t = 0 at line rate; flow A, h0 → h1, one full frame
+/// at t = 250.
+///
+/// - h1 serializes B's frame k over [1000k, 1000k + 1000] while it has
+///   nothing else to send.
+/// - h0 sends A's frame over [250, 1250]; it reaches sw at 1750, leaves
+///   sw over [1750, 2750] and reaches h1 at 3250, while h1 is serializing
+///   B3 over [3000, 4000].
+/// - The ACK for A is queued at 3250. When B3 ends at 4000 it goes first
+///   (64 ns, over [4000, 4064]) although B4 has been eligible since 4000;
+///   B4 follows over [4064, 5064] and B5 over [5064, 6064].
+/// - sw receives B's frame k at 1000k + 1500 for k ≤ 3 and sends each at
+///   once toward h0 (a back-to-back train): h0 receives B0–B3 at 3000,
+///   4000, 5000, 6000.
+/// - The ACK reaches sw at 4564, behind B3 on the wire ([4500, 5500]): it
+///   leaves at 5500 ahead of any data and reaches h0 at 6064, where A
+///   completes. B4 reaches sw at 5564, the instant that port frees, and
+///   h0 at 7064; B5 reaches sw at 6564 and h0 at 8064 — both 64 ns behind
+///   the train, the time the ACK took on h1's wire.
+#[test]
+fn an_ack_leaves_at_busy_until_ahead_of_queued_data() {
+    let (mut sim, _, h0, h1, _) = host_pair(config(kb(500)), None);
+    sim.add_flow(flow(0, h0, h1, 1, 250));
+    sim.add_flow(flow(1, h1, h0, 6, 0));
+    let a_open = sender(h0, 0, |_| 1);
+    let got = timelines(&mut sim, 9_000, &[received(h1, 0), received(h0, 1), a_open]);
+    assert_eq!(got[0], [(3_250, PAYLOAD)], "A at h1");
+    let b: Vec<(u64, u64)> = [3_000, 4_000, 5_000, 6_000, 7_064, 8_064]
+        .iter()
+        .zip(1..)
+        .map(|(&t, k)| (t, PAYLOAD * k))
+        .collect();
+    assert_eq!(got[1], b, "B at h0");
+    assert_eq!(got[2], [(250, 1), (6_064, 0)], "A open at its sender");
+}
+
+/// **A go-back-N rollback after one lost frame.** [`host_pair`], one flow
+/// of six full frames at t = 0; h0's link is down over [1400, 1600].
+///
+/// - h0 serializes frame k over [1000k, 1000k + 1000]; it is due at sw at
+///   1000k + 1500. Frame 0 is due at 1500, while the link is down, and is
+///   lost. Frames 1–5 reach sw at 2500 … 6500, leave it back to back over
+///   [1000k + 1500, 1000k + 2500] and reach h1 at 4000 … 8000.
+/// - Frame 1 (seq 952) reaches h1 at 4000 with 0 expected: h1 queues a
+///   NACK for 0 and then an ACK for 0, sent over [4000, 4064] and
+///   [4064, 4128]. The NACK reaches sw at 4564 and h0 at 5128. Frames 2–5
+///   add ACKs only (one NACK per gap).
+/// - At 5128 h0 is serializing frame 5 ([5000, 6000]); the NACK rolls
+///   `next_seq` back to 0 at once, and the NIC picks the flow up when it
+///   frees at 6000: frames 0–5 again over [1000j + 6000, 1000j + 7000],
+///   each one a retransmission.
+/// - Resent frame j reaches sw at 1000j + 7500. The original frame 5
+///   leaves sw over [6500, 7500], so resent frame 0 finds the port free
+///   at the instant it arrives, and each resent frame reaches h1 at
+///   1000j + 9000: 9000 … 14000.
+#[test]
+fn go_back_n_after_one_lost_frame() {
+    let (mut sim, _, h0, h1, _) = host_pair(config(kb(500)), Some((false, 1_400, 1_600)));
+    sim.add_flow(flow(0, h0, h1, 6, 0));
+    let lost = |s: &Sim| s.trace.faults.link_down_drops;
+    let retx = |s: &Sim| s.trace.retx_bytes;
+    let next_seq = sender(h0, 0, |a| a.next_seq);
+    let got = timelines(&mut sim, 15_000, &[Box::new(lost), next_seq, Box::new(retx), received(h1, 0)]);
+    assert_eq!(got[0], [(1_500, 1)], "lost on h0's link");
+    let mut seq = receipts(0, 1_000, 6);
+    seq.push((5_128, 0));
+    seq.extend(receipts(6_000, 1_000, 6));
+    assert_eq!(got[1], seq, "h0's next_seq");
+    assert_eq!(got[2], receipts(6_000, 1_000, 6), "retransmitted bytes");
+    assert_eq!(got[3], receipts(9_000, 1_000, 6), "receipts at h1");
+}
+
+/// **An RTO at exactly the last arm + `rto`.** [`host_pair`] with
+/// `rto` = 10 µs, one flow of three full frames at t = 0; h1's link is
+/// down over [4900, 5100].
+///
+/// - h0 serializes frame k over [1000k, 1000k + 1000]; sw forwards each
+///   at once and h1 receives them at 3000, 4000 and — due at 5000, while
+///   its link is down — never: frame 2 is the last, so no later frame
+///   shows the gap and no NACK comes.
+/// - Each send arms the timeout to now + 10,000: 10,000, 11,000, 12,000.
+///   The ACKs for frames 0 and 1 leave h1 at 3000 and 4000 and reach h0 at
+///   4128 and 5128 (64 ns on each link plus 500 ns twice); each acks new
+///   data with data still outstanding, so each re-arms: 14,128, then
+///   15,128.
+/// - The timeout fires at 15,128 = last arm + `rto`: h0 rolls back to
+///   1904 and resends frame 2 at once over [15128, 16128], re-arming to
+///   25,128. It reaches sw at 16628 and h1 at 18128.
+/// - h1's ACK for it reaches h0 at 19256 and the flow completes there.
+#[test]
+fn rto_fires_at_last_arm_plus_rto() {
+    let cfg = SimConfig { rto: SimDuration::from_micros(10), ..config(kb(500)) };
+    let (mut sim, _, h0, h1, _) = host_pair(cfg, Some((true, 4_900, 5_100)));
+    sim.add_flow(flow(0, h0, h1, 3, 0));
+    let deadline = sender(h0, 0, |a| a.rto_deadline.map_or(0, SimTime::as_nanos));
+    let retx = |s: &Sim| s.trace.retx_bytes;
+    let got = timelines(&mut sim, 20_000, &[deadline, Box::new(retx), received(h1, 0)]);
+    let arms = [
+        (0, 10_000),
+        (1_000, 11_000),
+        (2_000, 12_000),
+        (4_128, 14_128),
+        (5_128, 15_128),
+        (15_128, 25_128),
+        (19_256, 0),
+    ];
+    assert_eq!(got[0], arms, "h0's RTO deadline");
+    assert_eq!(got[1], [(15_128, PAYLOAD)], "retransmitted bytes");
+    assert_eq!(got[2], [(3_000, PAYLOAD), (4_000, 2 * PAYLOAD), (18_128, 3 * PAYLOAD)], "receipts at h1");
 }
