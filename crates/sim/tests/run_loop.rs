@@ -42,8 +42,19 @@ struct Outcome {
     verdict: String,
 }
 
-fn drive(seed: u64, how: Drive) -> Outcome {
+/// The golden chaos incast with a second 1 MB flow beside each sender's
+/// first, both starting at 0: long enough for well over 50 strides.
+fn chaos_with_twice_the_data(seed: u64) -> Sim {
     let mut sim = build_chaos(seed);
+    let first = sim.flows().to_vec();
+    for f in &first {
+        sim.add_flow(FlowSpec { id: FlowId(f.id.0 + first.len() as u64), ..*f });
+    }
+    sim
+}
+
+fn drive(seed: u64, how: Drive) -> Outcome {
+    let mut sim = chaos_with_twice_the_data(seed);
     sim.enable_sanitizer();
     sim.enable_digest_ledger(STRIDE);
     let taken = Rc::new(RefCell::new(Vec::<(u64, Vec<u8>)>::new()));
