@@ -1,4 +1,4 @@
-//! The `rocc-snapshot/v5` wire format, pinned.
+//! The `rocc-snapshot/v6` wire format, pinned.
 //!
 //! Each case runs a scheme to two event cut points and compares the full
 //! snapshot bytes — length and FNV-1a-64 — against constants captured
@@ -118,8 +118,8 @@ fn rocc_chaos_with_everything_on() {
         chaos_everything_on(),
         chaos_everything_on,
         [
-            (10_000, 113_302, 0xbee7_3e07_452e_4594),
-            (42_000, 232_561, 0x982e_f984_2c7c_c7f0),
+            (10_000, 115_557, 0x32e0_620a_daaa_720e),
+            (42_000, 268_398, 0xa851_4a35_f7a4_cb20),
         ],
     );
 }
@@ -128,8 +128,8 @@ fn rocc_chaos_with_everything_on() {
 fn hpcc_incast_with_int_stacks_in_flight() {
     let build = || incast(Scheme::Hpcc, 6, 3);
     let pins = [
-        (2_000, 23_909, 0xe1ed_4d9c_d67b_6aa3),
-        (10_000, 23_930, 0x8c7f_3f09_32c4_0703),
+        (2_000, 23_940, 0xb5ea_7916_2572_38bd),
+        (10_000, 24_070, 0x40ab_865b_bd2b_7166),
     ];
     check("hpcc", build(), build, pins);
 }
@@ -138,8 +138,8 @@ fn hpcc_incast_with_int_stacks_in_flight() {
 fn qcn_incast_with_feedback_in_flight() {
     let build = || incast(Scheme::Qcn, 8, 5);
     let pins = [
-        (2_000, 55_038, 0xb291_26df_7169_8669),
-        (6_000, 130_789, 0x210f_9e77_a8ca_30ab),
+        (2_000, 57_024, 0xcbb4_7ff8_ec39_9328),
+        (6_000, 138_040, 0x7a3b_9986_9758_f47b),
     ];
     check("qcn", build(), build, pins);
 }
@@ -147,35 +147,35 @@ fn qcn_incast_with_feedback_in_flight() {
 #[test]
 fn dcqcn_incast_with_rates_cut() {
     let build = || incast(Scheme::Dcqcn, 8, 11);
-    let pins = [(6_000, 113_251, 0xa111_b120_4cf9_9474), (20_000, 134_363, 0x6799_6100_dd4d_7f00)];
+    let pins = [(6_000, 121_773, 0x2b91_6900_d430_2d25), (20_000, 125_289, 0xaab9_1a9a_6d37_a6db)];
     check("dcqcn", build(), build, pins);
 }
 
 #[test]
 fn dcqcn_pi_incast_with_marking_probability_up() {
     let build = || incast(Scheme::DcqcnPi, 8, 13);
-    let pins = [(6_000, 141_693, 0x92a5_467c_18a3_5d1f), (20_000, 171_548, 0x8f5e_6574_319d_f670)];
+    let pins = [(6_000, 148_428, 0xb417_778d_e291_9917), (20_000, 164_984, 0xcd5c_bb17_b5a0_2980)];
     check("dcqcn+pi", build(), build, pins);
 }
 
 #[test]
 fn timely_incast_with_rtt_gradient() {
     let build = || incast(Scheme::Timely, 8, 17);
-    let pins = [(6_000, 118_718, 0x8b42_46ac_7da1_f2e6), (20_000, 122_992, 0x0d2e_fc0b_fdf2_94e5)];
+    let pins = [(6_000, 130_156, 0xa719_ecdc_089e_c806), (17_000, 122_123, 0x30b1_ad1f_0ea8_7a5f)];
     check("timely", build(), build, pins);
 }
 
 #[test]
 fn timely_patched_incast() {
     let build = || incast(Scheme::TimelyPatched, 8, 19);
-    let pins = [(6_000, 141_455, 0x830e_c83a_903d_444b), (20_000, 170_445, 0x9a55_0075_7b5e_953d)];
+    let pins = [(6_000, 147_932, 0xd7d6_5cab_1f9a_3b0a), (17_000, 170_611, 0xb953_7a4e_4556_f01f)];
     check("timely+patch", build(), build, pins);
 }
 
 #[test]
 fn no_cc_incast() {
     let build = || incast(Scheme::None, 8, 23);
-    let pins = [(6_000, 141_071, 0xe40d_d95b_b10a_eea7), (20_000, 169_543, 0x1c34_966c_5c22_67dc)];
+    let pins = [(6_000, 147_548, 0x018f_1238_c24f_f5a7), (17_000, 170_199, 0x3c0b_5081_ef2c_6872)];
     check("none", build(), build, pins);
 }
 
@@ -189,7 +189,7 @@ fn rocc_host_computed_incast_with_replicas() {
             29,
         )
     };
-    let pins = [(6_000, 133_210, 0x70b5_1b2b_695c_54a8), (20_000, 118_010, 0xa669_9866_d478_5116)];
+    let pins = [(6_000, 134_457, 0x6a7d_c4c2_a157_28dd), (20_000, 118_525, 0x105d_bb85_b1a8_c8dd)];
     check("rocc host-computed", build(), build, pins);
 }
 
@@ -207,7 +207,7 @@ fn rocc_bounded_age_table_incast() {
             31,
         )
     };
-    let pins = [(6_000, 135_187, 0x98fd_ed39_ce27_ca94), (20_000, 123_759, 0x640f_ca83_73d2_0998)];
+    let pins = [(6_000, 138_257, 0x6322_66a4_bf38_624a), (20_000, 123_664, 0xb5b5_1ecc_ac56_77b1)];
     check("rocc bounded-age", build(), build, pins);
 }
 
@@ -225,6 +225,6 @@ fn rocc_sampling_table_incast() {
             37,
         )
     };
-    let pins = [(6_000, 135_195, 0x9648_c18a_a457_32ba), (20_000, 123_560, 0x7a53_ca7e_67b2_aaf7)];
+    let pins = [(6_000, 138_289, 0xd569_79da_fd6c_c4d8), (20_000, 122_979, 0x8117_4d24_4f25_9faf)];
     check("rocc sampling", build(), build, pins);
 }

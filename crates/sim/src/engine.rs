@@ -53,12 +53,8 @@ pub enum Event {
         /// The egress port.
         port: PortId,
     },
-    /// A host NIC finished serializing a packet.
-    HostTxDone {
-        /// The host.
-        node: NodeId,
-    },
-    /// A host pacing wake-up.
+    /// A host NIC may start its next frame: the one on the wire has been
+    /// serialized or a pacing wait has matured (see [`crate::host`]).
     HostWake {
         /// The host.
         node: NodeId,
@@ -114,15 +110,14 @@ impl Event {
         match self {
             Event::Arrive { .. } => 0,
             Event::SwitchTxDone { .. } => 1,
-            Event::HostTxDone { .. } => 2,
-            Event::HostWake { .. } => 3,
-            Event::CpTimer { .. } => 4,
-            Event::HostCcTimer { .. } => 5,
-            Event::Feedback { .. } => 6,
-            Event::FlowStart { .. } => 7,
-            Event::FlowStop { .. } => 8,
-            Event::Sample => 9,
-            Event::Fault(_) => 10,
+            Event::HostWake { .. } => 2,
+            Event::CpTimer { .. } => 3,
+            Event::HostCcTimer { .. } => 4,
+            Event::Feedback { .. } => 5,
+            Event::FlowStart { .. } => 6,
+            Event::FlowStop { .. } => 7,
+            Event::Sample => 8,
+            Event::Fault(_) => 9,
         }
     }
 }
@@ -1355,23 +1350,9 @@ impl Sim {
                     sw.handle_drain(&mut self.kernel, &self.topo, &mut self.trace, port);
                 }
             }
-            Event::HostTxDone { node } => {
-                if self.kernel.faults.host_is_down(node) {
-                    // The NIC went down mid-serialization: the packet never
-                    // reaches the wire. `revive` resets the TX path. The
-                    // serialized packet is not at hand here, so the drop
-                    // event carries the PFC-style sentinel flow id.
-                    self.trace.faults.host_down_drops += 1;
-                    self.publish_drop(node, FlowId(u64::MAX), DropCause::HostDown);
-                    return;
-                }
-                if let NodeSlot::Host(h) = &mut self.nodes[node.0] {
-                    h.handle_tx_done(&mut self.kernel, &self.topo, &mut self.trace);
-                }
-            }
             Event::HostWake { node } => {
                 if self.kernel.faults.host_is_down(node) {
-                    return; // revive restarts the TX path from scratch
+                    return; // `revive` restarts transmission
                 }
                 if let NodeSlot::Host(h) = &mut self.nodes[node.0] {
                     h.handle_wake(&mut self.kernel, &self.topo, &mut self.trace);
@@ -1510,12 +1491,9 @@ impl Sim {
             }
             FaultEvent::HostCrash(n) => {
                 self.kernel.faults.set_host_down(n, true);
-                let lost = if let NodeSlot::Host(h) = &mut self.nodes[n.0] {
-                    h.on_crash()
-                } else {
-                    0
-                };
-                self.kernel.san.destroy(lost);
+                if let NodeSlot::Host(h) = &mut self.nodes[n.0] {
+                    h.on_crash();
+                }
             }
             FaultEvent::HostRestore(n) => {
                 self.kernel.faults.set_host_down(n, false);

@@ -82,14 +82,13 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
 
 /// Number of distinct [`crate::engine::Event`] variants in the dispatch
 /// mix.
-pub const EVENT_KIND_COUNT: usize = 11;
+pub const EVENT_KIND_COUNT: usize = 10;
 
 /// Export names for the dispatch mix, indexed by
 /// [`crate::engine::Event::kind_idx`].
 pub const EVENT_KIND_NAMES: [&str; EVENT_KIND_COUNT] = [
     "arrive",
     "switch_tx_done",
-    "host_tx_done",
     "host_wake",
     "cp_timer",
     "host_cc_timer",

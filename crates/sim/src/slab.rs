@@ -10,11 +10,11 @@
 //!
 //! Ownership contract (see DESIGN.md §3e): a slab slot holds exactly one
 //! live packet "on the wire" — from the moment a host NIC or switch egress
-//! commits it to a link (or a switch mints a PFC/feedback frame) until it
-//! is delivered to a host ([`PacketSlab::take`]), dropped
+//! starts serializing it onto a link (or a switch mints a PFC/feedback
+//! frame) until it is delivered to a host ([`PacketSlab::take`]), dropped
 //! ([`PacketSlab::free`]), or consumed by an adjacent port (PFC). Packets
-//! *inside* nodes (host `ctrl_q`, NIC `in_flight`) stay by value; switch
-//! queues hold refs because their packets re-enter the wire unchanged.
+//! still *inside* a host (its `ctrl_q`) stay by value; switch queues hold
+//! refs because their packets re-enter the wire unchanged.
 //!
 //! Freed slots go on a LIFO freelist, so steady-state traffic recycles a
 //! small hot set of slots and the arena stays cache-resident. A freed slot

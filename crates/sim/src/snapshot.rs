@@ -53,7 +53,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v5";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v6";
 
 /// [`SNAPSHOT_MAGIC`] as text, for every message that names the format.
 pub const SNAPSHOT_FORMAT: &str = match std::str::from_utf8(SNAPSHOT_MAGIC) {
@@ -737,7 +737,7 @@ tag_codec!(FaultEvent {
 tag_codec!(Event {
     Arrive { link, pr } = 0,
     SwitchTxDone { node, port } = 1,
-    HostTxDone { node } = 2,
+    // Tag 2, the host NIC's per-frame TX completion up to v5, is retired.
     HostWake { node } = 3,
     CpTimer { node, port } = 4,
     HostCcTimer { node, flow, token, gen } = 5,
@@ -961,6 +961,7 @@ mod tests {
         refuses::<FeedbackEvent>(4);
         refuses::<FaultEvent>(5);
         refuses::<Event>(11);
+        refuses::<Event>(2); // retired, never reused
         refuses::<SimEvent>(8);
         refuses::<MetricRow>(4);
         assert_eq!(decode::<Option<u64>>(&[2]), Err(Malformed("option tag")));
@@ -1127,7 +1128,6 @@ mod tests {
         let (node, flow) = (NodeId(0x21), FlowId(0x22));
         vector(&Event::Arrive { link: LinkId(0x23), pr: PacketRef::from_index(0x24) }, "00230000000000000024000000");
         vector(&Event::SwitchTxDone { node, port: PortId(0x25) }, "0121000000000000002500000000000000");
-        vector(&Event::HostTxDone { node }, "022100000000000000");
         vector(&Event::HostWake { node }, "032100000000000000");
         vector(&Event::CpTimer { node, port: PortId(0x25) }, "0421000000000000002500000000000000");
         vector(&Event::HostCcTimer { node, flow, token: 0x26, gen: 0x27 }, "0521000000000000002200000000000000262700000000000000");
