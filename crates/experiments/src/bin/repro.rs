@@ -817,7 +817,7 @@ fn main() {
                         std::process::exit(1);
                     }
                     let verdict = sim.run_until_flows_done(horizon);
-                    let resumed = observatory::digest(&sim.trace.observatory.to_jsonl());
+                    let resumed = observatory::digest(&sim.trace.observatory_jsonl());
                     println!(
                         "resumed {scenario}: {}/{flows} flows completed, metrics digest {resumed}",
                         sim.trace.fcts.len(),

@@ -276,7 +276,7 @@ fn finish_incast(
         scale,
         flows: n,
         completed: sim.trace.fcts.len(),
-        metrics_jsonl: sim.trace.observatory.to_jsonl(),
+        metrics_jsonl: sim.trace.observatory_jsonl(),
         perfetto_json: export_chrome_trace(&sim),
         config_debug,
         verdict,

@@ -73,6 +73,9 @@ pub struct TraceRun {
     pub events: Vec<SimEvent>,
     /// Per-class event counts over [`TraceRun::events`].
     pub counts: ClassCounts,
+    /// The metrics registry folded from the run (counters per event kind
+    /// and label set, histograms).
+    pub metrics: Metrics,
     /// Flows offered.
     pub flows: usize,
     /// Flows that completed within the horizon (0 for the open-ended
@@ -90,26 +93,10 @@ impl TraceRun {
     }
 }
 
-/// Count CP decisions of one Alg. 1 branch.
-fn cp_kind_count(events: &[SimEvent], want: CpDecisionKind) -> u64 {
-    events
-        .iter()
-        .filter(|e| matches!(e, SimEvent::CpDecision { kind, .. } if *kind == want))
-        .count() as u64
-}
-
-/// Count RP transitions of one Alg. 2 kind.
-fn rp_kind_count(events: &[SimEvent], want: RpTransitionKind) -> u64 {
-    events
-        .iter()
-        .filter(|e| matches!(e, SimEvent::RpTransition { kind, .. } if *kind == want))
-        .count() as u64
-}
-
 /// Assemble a [`TraceRun`] from a finished simulation.
 fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
     let completed = sim.trace.fcts.len();
-    let metrics_json = sim.trace.telemetry.metrics_json();
+    let metrics = sim.trace.metrics();
     let events = std::mem::take(&mut sim.trace.telemetry.events);
     let counts = ClassCounts::tally(&events);
     let summary_json = json::object(|o| {
@@ -129,21 +116,24 @@ fn finish(scenario: &'static str, mut sim: Sim, flows: usize) -> TraceRun {
             .object("cp_decisions", |o| {
                 use CpDecisionKind::*;
                 for kind in [MdToMin, MdHalve, Pi] {
-                    o.field(kind.as_str(), &cp_kind_count(&events, kind));
+                    let n = metrics.counter_total(&format!("cp.{}", kind.as_str()));
+                    o.field(kind.as_str(), &n);
                 }
             })
             .object("rp_transitions", |o| {
                 use RpTransitionKind::*;
                 for kind in [Install, RateUpdate, CpSwitch, RecoveryDouble, Uninstall] {
-                    o.field(kind.as_str(), &rp_kind_count(&events, kind));
+                    let n = metrics.counter_total(&format!("rp.{}", kind.as_str()));
+                    o.field(kind.as_str(), &n);
                 }
             })
-            .raw("metrics", &metrics_json);
+            .raw("metrics", &metrics.to_json());
     });
     TraceRun {
         scenario,
         events,
         counts,
+        metrics,
         flows,
         completed,
         summary_json,
@@ -289,12 +279,11 @@ mod tests {
     #[test]
     fn incast_decision_telemetry_matches_alg1_and_alg2() {
         let r = incast(Scale::Quick);
-        let md = cp_kind_count(&r.events, CpDecisionKind::MdToMin)
-            + cp_kind_count(&r.events, CpDecisionKind::MdHalve);
-        let pi = cp_kind_count(&r.events, CpDecisionKind::Pi);
+        let md = r.metrics.counter_total("cp.md_to_min") + r.metrics.counter_total("cp.md_halve");
+        let pi = r.metrics.counter_total("cp.pi");
         assert!(md >= 1, "incast start must trigger an MD branch");
         assert!(pi > md, "PI must dominate the decision mix");
-        let installs = rp_kind_count(&r.events, RpTransitionKind::Install);
+        let installs = r.metrics.counter_total("rp.install");
         assert!(
             installs >= r.flows as u64,
             "every source must install its limiter: {installs} < {}",
@@ -325,7 +314,7 @@ mod tests {
             .count();
         assert!(doubles >= 1, "no fast-recovery doubling after blackout");
         assert!(
-            rp_kind_count(&r.events, RpTransitionKind::Uninstall) >= 1,
+            r.metrics.counter_total("rp.uninstall") >= 1,
             "recovery must end in an uninstall"
         );
         // Fault-injected CNP destruction is visible as attributed drops.

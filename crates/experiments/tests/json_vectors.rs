@@ -473,24 +473,26 @@ fn histograms_and_the_metrics_registry_are_pinned() {
     for v in [3, 3, 40, 1_000, 123_456] {
         filled.record(v);
     }
-    let mut t = Telemetry::new();
-    t.collect(EventMask::NONE);
-    t.enable_metrics();
+    let mut t = Trace::new();
+    t.telemetry.enable_metrics();
     let at = SimTime::from_nanos(10);
-    t.publish(SimEvent::Drop {
+    t.publish_event(SimEvent::Drop {
         t: at,
         node: NodeId(2),
         flow: FlowId(5),
         cause: DropCause::Congestion,
     });
-    t.publish(SimEvent::CnpEmit {
+    t.publish_event(SimEvent::CnpEmit {
         t: at,
         cp: cp(2, 1),
         flow: FlowId(5),
         fair_rate_units: 10,
     });
-    t.record_fct(20_000);
-    t.record_queue_depth(4_096);
+    let (flow, start) = (FlowId(5), SimTime::ZERO);
+    let end = SimTime::from_nanos(20_000);
+    t.note_fct(FctRecord { flow, size: 1, start, end });
+    t.watch_queue(NodeId(2), PortId(1));
+    t.record_queue_sample(0, at, 4_096);
     check(&[
         (
             "empty Histogram",

@@ -1,4 +1,4 @@
-//! The `rocc-snapshot/v6` wire format, pinned.
+//! The `rocc-snapshot/v7` wire format, pinned.
 //!
 //! Each case runs a scheme to two event cut points and compares the full
 //! snapshot bytes — length and FNV-1a-64 — against constants captured
@@ -118,8 +118,8 @@ fn rocc_chaos_with_everything_on() {
         chaos_everything_on(),
         chaos_everything_on,
         [
-            (10_000, 115_557, 0x32e0_620a_daaa_720e),
-            (42_000, 268_398, 0xa851_4a35_f7a4_cb20),
+            (10_000, 95_237, 0x7602_689b_18ab_2f7d),
+            (42_000, 154_334, 0x02b4_6fd9_9db5_2585),
         ],
     );
 }
@@ -128,8 +128,8 @@ fn rocc_chaos_with_everything_on() {
 fn hpcc_incast_with_int_stacks_in_flight() {
     let build = || incast(Scheme::Hpcc, 6, 3);
     let pins = [
-        (2_000, 23_940, 0xb5ea_7916_2572_38bd),
-        (10_000, 24_070, 0x40ab_865b_bd2b_7166),
+        (2_000, 23_802, 0x0eb5_6a2b_e649_f540),
+        (10_000, 23_932, 0x09e3_03c3_a4ca_69b2),
     ];
     check("hpcc", build(), build, pins);
 }
@@ -138,8 +138,8 @@ fn hpcc_incast_with_int_stacks_in_flight() {
 fn qcn_incast_with_feedback_in_flight() {
     let build = || incast(Scheme::Qcn, 8, 5);
     let pins = [
-        (2_000, 57_024, 0xcbb4_7ff8_ec39_9328),
-        (6_000, 138_040, 0x7a3b_9986_9758_f47b),
+        (2_000, 56_886, 0x247c_4d2f_db7f_befc),
+        (6_000, 137_902, 0x8164_7582_a6b4_0035),
     ];
     check("qcn", build(), build, pins);
 }
@@ -147,35 +147,35 @@ fn qcn_incast_with_feedback_in_flight() {
 #[test]
 fn dcqcn_incast_with_rates_cut() {
     let build = || incast(Scheme::Dcqcn, 8, 11);
-    let pins = [(6_000, 121_773, 0x2b91_6900_d430_2d25), (20_000, 125_289, 0xaab9_1a9a_6d37_a6db)];
+    let pins = [(6_000, 121_635, 0xbe68_352d_50de_bd2d), (20_000, 125_151, 0xaaa6_d948_49ce_40e0)];
     check("dcqcn", build(), build, pins);
 }
 
 #[test]
 fn dcqcn_pi_incast_with_marking_probability_up() {
     let build = || incast(Scheme::DcqcnPi, 8, 13);
-    let pins = [(6_000, 148_428, 0xb417_778d_e291_9917), (20_000, 164_984, 0xcd5c_bb17_b5a0_2980)];
+    let pins = [(6_000, 148_290, 0x4b91_e2b5_3e9e_b251), (20_000, 164_846, 0xba26_c3e7_f82a_6eb5)];
     check("dcqcn+pi", build(), build, pins);
 }
 
 #[test]
 fn timely_incast_with_rtt_gradient() {
     let build = || incast(Scheme::Timely, 8, 17);
-    let pins = [(6_000, 130_156, 0xa719_ecdc_089e_c806), (17_000, 122_123, 0x30b1_ad1f_0ea8_7a5f)];
+    let pins = [(6_000, 130_018, 0xf7d7_2cb2_e57d_992d), (17_000, 121_985, 0x1302_fd84_6517_956d)];
     check("timely", build(), build, pins);
 }
 
 #[test]
 fn timely_patched_incast() {
     let build = || incast(Scheme::TimelyPatched, 8, 19);
-    let pins = [(6_000, 147_932, 0xd7d6_5cab_1f9a_3b0a), (17_000, 170_611, 0xb953_7a4e_4556_f01f)];
+    let pins = [(6_000, 147_794, 0xf90f_01f8_911a_d795), (17_000, 170_473, 0x0955_716f_f9f4_2699)];
     check("timely+patch", build(), build, pins);
 }
 
 #[test]
 fn no_cc_incast() {
     let build = || incast(Scheme::None, 8, 23);
-    let pins = [(6_000, 147_548, 0x018f_1238_c24f_f5a7), (17_000, 170_199, 0x3c0b_5081_ef2c_6872)];
+    let pins = [(6_000, 147_410, 0x3e4d_41d6_a3e5_bfef), (17_000, 170_061, 0xf403_1f47_a7ed_04f0)];
     check("none", build(), build, pins);
 }
 
@@ -189,7 +189,7 @@ fn rocc_host_computed_incast_with_replicas() {
             29,
         )
     };
-    let pins = [(6_000, 134_457, 0x6a7d_c4c2_a157_28dd), (20_000, 118_525, 0x105d_bb85_b1a8_c8dd)];
+    let pins = [(6_000, 134_319, 0x63f7_5d1b_6e72_1df6), (20_000, 118_387, 0x8b3a_f11f_ed1f_6428)];
     check("rocc host-computed", build(), build, pins);
 }
 
@@ -207,7 +207,7 @@ fn rocc_bounded_age_table_incast() {
             31,
         )
     };
-    let pins = [(6_000, 138_257, 0x6322_66a4_bf38_624a), (20_000, 123_664, 0xb5b5_1ecc_ac56_77b1)];
+    let pins = [(6_000, 138_119, 0x97a7_e0ab_1051_cb55), (20_000, 123_526, 0x3abb_4b1c_d2f9_e849)];
     check("rocc bounded-age", build(), build, pins);
 }
 
@@ -225,6 +225,6 @@ fn rocc_sampling_table_incast() {
             37,
         )
     };
-    let pins = [(6_000, 138_289, 0xd569_79da_fd6c_c4d8), (20_000, 122_979, 0x8117_4d24_4f25_9faf)];
+    let pins = [(6_000, 138_151, 0x393a_34dd_8fca_636d), (20_000, 122_841, 0xb865_8e3b_0e4c_c600)];
     check("rocc sampling", build(), build, pins);
 }

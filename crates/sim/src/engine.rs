@@ -1015,9 +1015,10 @@ impl Sim {
     /// seed + configuration digest), same CC factories, same `add_flow`
     /// calls, and the same trace watch registrations and sanitizer /
     /// telemetry / observatory enablement (verified structurally during
-    /// decode). Restore discards the fresh bootstrap queue and replaces
-    /// every piece of dynamic state; accumulated wall-clock time resets to
-    /// zero and any recorded budget failure is cleared.
+    /// decode: the trace section carries its watch lists). Restore
+    /// discards the fresh bootstrap queue and replaces every piece of
+    /// dynamic state; accumulated wall-clock time resets to zero and any
+    /// recorded budget failure is cleared.
     ///
     /// On error the sim may be left partially overwritten — discard it and
     /// rebuild (the supervisor falls back to a fresh cell run).
@@ -1523,6 +1524,16 @@ impl Sim {
         }
     }
 
+    /// The sender's current CC rate for flow `f`, in bits/s (`None` when
+    /// the flow is unknown or its host keeps no rate for it).
+    fn cc_rate_bps(&self, f: FlowId) -> Option<u64> {
+        let spec = self.flow_dir.get(f)?;
+        match &self.nodes[spec.src.0] {
+            NodeSlot::Host(h) => h.cc_rate(f).map(|d| d.rate.as_bps()),
+            NodeSlot::Switch(_) => None,
+        }
+    }
+
     fn take_samples(&mut self) {
         self.kernel.prof.enter(Phase::Telemetry);
         let now = self.kernel.now;
@@ -1535,7 +1546,6 @@ impl Sim {
             if let NodeSlot::Switch(sw) = &self.nodes[n.0] {
                 let (q, _) = sw.snapshot(p, now);
                 self.trace.record_queue_sample(i, now, q);
-                self.trace.telemetry.record_queue_depth(q);
             }
         }
         // Long-run queue averages.
@@ -1558,45 +1568,19 @@ impl Sim {
         self.trace.sample_flow_rates(now, period);
         // Sender CC rates.
         for i in 0..self.trace.watched_cc_flows().len() {
-            let f = self.trace.watched_cc_flows()[i];
-            if let Some(spec) = self.flow_dir.get(f) {
-                if let NodeSlot::Host(h) = &self.nodes[spec.src.0] {
-                    if let Some(d) = h.cc_rate(f) {
-                        self.trace
-                            .record_cc_rate(i, now, d.rate.as_bps() as f64);
-                    }
-                }
+            if let Some(bps) = self.cc_rate_bps(self.trace.watched_cc_flows()[i]) {
+                self.trace.record_cc_rate(i, now, bps as f64);
             }
         }
-        // Observatory time-series rows: one gated block of pure reads, so
-        // the disabled path costs a single branch and the enabled path
-        // cannot perturb the schedule.
+        // The observatory's tick mark: what its rows need beyond the
+        // series above and the log (pure reads, so the enabled path cannot
+        // perturb the schedule).
         if self.trace.observatory.is_enabled() {
             self.kernel.prof.enter(Phase::Observatory);
-            for i in 0..self.trace.watched_queues().len() {
-                let (n, p) = self.trace.watched_queues()[i];
-                if let NodeSlot::Switch(sw) = &self.nodes[n.0] {
-                    let (q, _) = sw.snapshot(p, now);
-                    self.trace.observatory.note_queue_sample(now, n, p, q);
-                }
-            }
-            let flows: Vec<FlowId> = self.trace.watched_flows().to_vec();
-            for (i, f) in flows.into_iter().enumerate() {
-                let goodput = self.trace.flow_rate_series[i]
-                    .last()
-                    .map(|s| s.v as u64)
-                    .unwrap_or(0);
-                let rp_bps = self
-                    .flow_dir
-                    .get(f)
-                    .and_then(|spec| match &self.nodes[spec.src.0] {
-                        NodeSlot::Host(h) => h.cc_rate(f).map(|d| d.rate.as_bps()),
-                        NodeSlot::Switch(_) => None,
-                    })
-                    .unwrap_or(0);
-                self.trace.observatory.note_flow_sample(now, f, rp_bps, goodput);
-            }
-            self.trace.observatory.sample_tick(now);
+            let flows = self.trace.watched_flows();
+            let rp_bps = flows.iter().map(|&f| self.cc_rate_bps(f).unwrap_or(0)).collect();
+            let logged = self.trace.telemetry.events.len();
+            self.trace.observatory.tick(now, logged, rp_bps);
             self.kernel.prof.enter(Phase::Telemetry);
         }
         self.kernel.schedule(now + period, Event::Sample);

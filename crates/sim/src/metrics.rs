@@ -1,40 +1,32 @@
-//! The run observatory: a periodic time-series sampler over the quantities
-//! the paper plots — egress queue depth, CP fair rate with its auto-tune
+//! The run observatory: a periodic time series of the quantities the
+//! paper plots — egress queue depth, CP fair rate with its auto-tune
 //! region, per-flow RP rate and goodput, and cumulative PFC pause time.
 //!
 //! The observatory rides the engine's existing `Sample` tick (it schedules
-//! no events of its own) and is fed through the same one-branch gating
-//! pattern as [`crate::telemetry::Telemetry`]: every emission site tests a
-//! single bitmask and constructs nothing while the observatory is disabled.
-//! It performs pure reads — no RNG, event-queue, or CC-state access — so a
-//! run with the observatory on is bit-identical to the same seed with it
-//! off (pinned by the `observer_effect` integration test).
+//! no events of its own). Its rows are not kept during the run: the trace
+//! already samples the queues and goodputs, and the event log holds every
+//! PFC frame and CP decision, so [`crate::trace::Trace::observatory_rows`]
+//! folds the rows from those at export. All the observatory records per
+//! tick is what neither source holds: the tick's instant, the log length
+//! at the tick (a CP decision at the tick's own instant may come before or
+//! after it), and each watched flow's sender rate. Enabling it adds PFC
+//! and CP decisions to the log. Recording is pure reads — no RNG,
+//! event-queue, or CC-state access — so a run with the observatory on is
+//! bit-identical to the same seed with it off (pinned by the
+//! `observer_effect` integration test).
 //!
-//! Output is one JSONL document ([`Observatory::to_jsonl`]); each line is
-//! one [`MetricRow`]. Rows appear in emission order, which is deterministic
-//! (sample ticks are totally ordered and per-tick iteration uses `BTreeMap`
-//! ordering).
+//! Output is one JSONL document ([`crate::trace::Trace::observatory_jsonl`]);
+//! each line is one [`MetricRow`]. Per tick, rows come in a fixed order:
+//! watched queues, watched flows, CPs in id order, then PFC.
 
 use crate::packet::{CpId, FlowId};
-use crate::snapshot::{struct_codec, tag_codec};
+use crate::snapshot::{struct_codec, SnapshotError};
 use crate::telemetry::{EventMask, SimEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PortId};
+use crate::trace::{Sample, Trace};
 use rocc_stats::json;
 use std::collections::BTreeMap;
-
-/// Latest CP controller state, updated on every `CpDecision` event and
-/// re-emitted at each sample tick so the fair-rate series is uniformly
-/// spaced even when the controller holds steady.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CpState {
-    fair_rate_units: u32,
-    region: u32,
-    alpha: f64,
-    beta: f64,
-}
-
-struct_codec!(CpState { fair_rate_units, region, alpha, beta });
 
 /// One time-series sample. Serialized as one JSONL line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,21 +104,40 @@ impl MetricRow {
     }
 }
 
-/// The observatory sink, embedded in [`crate::trace::Trace`]. Disabled by
-/// default; [`Observatory::enable`] turns it on. While enabled it consumes
-/// PFC and CP-decision events (via [`crate::trace::Trace::publish_event`])
-/// and is fed queue/flow samples by the engine's sample tick.
+/// Classes the observatory adds to the log once enabled.
+const OBSERVED: EventMask = EventMask(EventMask::PFC.0 | EventMask::CP_DECISION.0);
+
+/// One sample tick as the observatory saw it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tick {
+    /// The tick's instant.
+    t: SimTime,
+    /// Length of the event log when the tick fired.
+    logged: usize,
+}
+
+struct_codec!(Tick { t, logged });
+
+/// The observatory, embedded in [`crate::trace::Trace`]. Disabled by
+/// default; [`Observatory::enable`] turns it on, before the run. The
+/// engine only ticks it while a [`crate::trace::Trace::sample_period`] is
+/// also set.
 #[derive(Debug, Default)]
 pub struct Observatory {
-    enabled: bool,
-    rows: Vec<MetricRow>,
-    /// Latest controller state per CP, re-emitted each tick. `BTreeMap`
-    /// because per-tick iteration order reaches the output.
-    cp_state: BTreeMap<CpId, CpState>,
-    /// Open PFC pause intervals by (switch, ingress port).
-    pause_open: BTreeMap<(NodeId, PortId), SimTime>,
-    /// Closed-interval pause time accumulated so far.
-    cum_pause: SimDuration,
+    /// [`OBSERVED`] once enabled, none before.
+    classes: EventMask,
+    /// Every sample tick since enabled.
+    ticks: Vec<Tick>,
+    /// Each watched flow's sender rate at every tick, bits/s (0 when the
+    /// flow has no rate limiter), parallel to the trace's watched flows.
+    rp_bps: Vec<Vec<u64>>,
+}
+
+/// The entry `behind` places from the end of `series`, if it is that long:
+/// every series gains one entry per tick, so the entries of one tick sit
+/// at the same distance from the end of each.
+fn from_end<T: Copy>(series: &[T], behind: usize) -> Option<T> {
+    series.len().checked_sub(behind).map(|i| series[i])
 }
 
 impl Observatory {
@@ -135,153 +146,130 @@ impl Observatory {
         Observatory::default()
     }
 
-    /// Turn sampling on. The engine only emits rows while a
-    /// [`crate::trace::Trace::sample_period`] is also set.
+    /// Turn sampling on.
     pub fn enable(&mut self) {
-        self.enabled = true;
+        self.classes = OBSERVED;
     }
 
     /// Is the observatory collecting?
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        !self.classes.is_empty()
     }
 
-    /// Event classes the observatory consumes: the one-branch gate unions
-    /// this into [`crate::trace::Trace::wants`].
-    pub fn wants_mask(&self) -> EventMask {
-        if self.enabled {
-            EventMask::PFC | EventMask::CP_DECISION
-        } else {
-            EventMask::NONE
+    /// Event classes the observatory needs in the log: the one-branch gate
+    /// unions this into [`crate::trace::Trace::wants`].
+    pub fn classes(&self) -> EventMask {
+        self.classes
+    }
+
+    /// Record one sample tick (engine, after the trace's own samples):
+    /// the log length and each watched flow's sender rate.
+    pub(crate) fn tick(&mut self, t: SimTime, logged: usize, rp_bps: Vec<u64>) {
+        self.ticks.push(Tick { t, logged });
+        if self.rp_bps.len() < rp_bps.len() {
+            self.rp_bps.resize(rp_bps.len(), Vec::new());
+        }
+        for (series, bps) in self.rp_bps.iter_mut().zip(rp_bps) {
+            series.push(bps);
         }
     }
 
-    /// CC classes the observatory needs buffered by CC callbacks.
-    pub fn cc_mask(&self) -> EventMask {
-        if self.enabled {
-            EventMask::CP_DECISION
-        } else {
-            EventMask::NONE
+    /// Refuse restored state that does not fit the restored log and
+    /// watches: tick marks past the log or out of order, or more flows
+    /// than are watched.
+    pub(crate) fn check(&self, logged: usize, flows: usize) -> Result<(), SnapshotError> {
+        let mut at = 0;
+        for tick in &self.ticks {
+            if tick.logged < at || tick.logged > logged {
+                return Err(SnapshotError::Malformed("observatory tick past the log"));
+            }
+            at = tick.logged;
         }
+        if self.rp_bps.len() > flows || self.rp_bps.iter().any(|s| s.len() > self.ticks.len()) {
+            return Err(SnapshotError::Malformed("observatory flows differ"));
+        }
+        Ok(())
     }
 
-    /// Consume one published event (no-op unless enabled and interesting).
-    pub fn observe(&mut self, ev: &SimEvent) {
-        if !self.enabled {
-            return;
-        }
-        match *ev {
-            SimEvent::CpDecision {
-                cp,
-                fair_rate_units,
-                alpha,
-                beta,
-                region,
-                ..
-            } => {
-                self.cp_state.insert(
-                    cp,
-                    CpState {
+    /// Fold the rows from the ticks, the trace's series and its log.
+    pub(crate) fn rows(&self, trace: &Trace) -> Vec<MetricRow> {
+        let events = &trace.telemetry.events;
+        let mut rows = Vec::new();
+        // Latest controller state per CP, re-emitted each tick so the
+        // fair-rate series is uniformly spaced even when the controller
+        // holds steady. `BTreeMap`: its order reaches the output.
+        let mut cp_state = BTreeMap::new();
+        let mut pause_open = BTreeMap::new();
+        let mut cum_pause = SimDuration::ZERO;
+        let mut folded = 0;
+        for (k, &Tick { t, logged }) in self.ticks.iter().enumerate() {
+            for ev in &events[folded..logged] {
+                match *ev {
+                    SimEvent::CpDecision {
+                        cp,
                         fair_rate_units,
-                        region,
                         alpha,
                         beta,
-                    },
-                );
-            }
-            SimEvent::Pfc {
-                t,
-                node,
-                port,
-                pause,
-            } => {
-                if pause {
-                    self.pause_open.entry((node, port)).or_insert(t);
-                } else if let Some(start) = self.pause_open.remove(&(node, port)) {
-                    self.cum_pause += t.saturating_since(start);
+                        region,
+                        ..
+                    } => {
+                        cp_state.insert(cp, (fair_rate_units, region, alpha, beta));
+                    }
+                    SimEvent::Pfc {
+                        t,
+                        node,
+                        port,
+                        pause,
+                    } => {
+                        if pause {
+                            pause_open.entry((node, port)).or_insert(t);
+                        } else if let Some(start) = pause_open.remove(&(node, port)) {
+                            cum_pause += t.saturating_since(start);
+                        }
+                    }
+                    _ => {}
                 }
             }
-            _ => {}
-        }
-    }
-
-    /// Record a queue-depth sample (engine, on the sample tick).
-    pub fn note_queue_sample(&mut self, t: SimTime, node: NodeId, port: PortId, bytes: u64) {
-        if self.enabled {
-            self.rows.push(MetricRow::Queue {
-                t,
-                node,
-                port,
-                bytes,
+            folded = logged;
+            let behind = self.ticks.len() - k;
+            let queues = trace.watched_queues().iter().zip(&trace.queue_series);
+            for (&(node, port), series) in queues {
+                if let Some(Sample { v, .. }) = from_end(series, behind) {
+                    let bytes = v as u64;
+                    rows.push(MetricRow::Queue { t, node, port, bytes });
+                }
+            }
+            let flows = trace.watched_flows().iter().zip(&trace.flow_rate_series);
+            for ((&flow, goodput), rp) in flows.zip(&self.rp_bps) {
+                if let (Some(g), Some(rp_bps)) = (from_end(goodput, behind), from_end(rp, behind)) {
+                    let goodput_bps = g.v as u64;
+                    rows.push(MetricRow::Flow { t, flow, rp_bps, goodput_bps });
+                }
+            }
+            for (&cp, &(fair_rate_units, region, alpha, beta)) in &cp_state {
+                rows.push(MetricRow::Cp {
+                    t,
+                    cp,
+                    fair_rate_units,
+                    region,
+                    alpha,
+                    beta,
+                });
+            }
+            let open = pause_open.values().fold(SimDuration::ZERO, |open, &start| {
+                open + t.saturating_since(start)
             });
+            let cum_pause_ns = (cum_pause + open).as_nanos();
+            rows.push(MetricRow::Pfc { t, cum_pause_ns });
         }
-    }
-
-    /// Record a per-flow sample (engine, on the sample tick).
-    pub fn note_flow_sample(&mut self, t: SimTime, flow: FlowId, rp_bps: u64, goodput_bps: u64) {
-        if self.enabled {
-            self.rows.push(MetricRow::Flow {
-                t,
-                flow,
-                rp_bps,
-                goodput_bps,
-            });
-        }
-    }
-
-    /// Close one sample tick: emit the latest CP state for every known CP
-    /// and the cumulative PFC pause time (open pauses counted up to `t`).
-    pub fn sample_tick(&mut self, t: SimTime) {
-        if !self.enabled {
-            return;
-        }
-        for (&cp, s) in &self.cp_state {
-            self.rows.push(MetricRow::Cp {
-                t,
-                cp,
-                fair_rate_units: s.fair_rate_units,
-                region: s.region,
-                alpha: s.alpha,
-                beta: s.beta,
-            });
-        }
-        let mut open = SimDuration::ZERO;
-        for &start in self.pause_open.values() {
-            open += t.saturating_since(start);
-        }
-        self.rows.push(MetricRow::Pfc {
-            t,
-            cum_pause_ns: (self.cum_pause + open).as_nanos(),
-        });
-    }
-
-    /// All rows collected so far, in emission order.
-    pub fn rows(&self) -> &[MetricRow] {
-        &self.rows
-    }
-
-    /// Cumulative closed-interval PFC pause time.
-    pub fn cum_pause(&self) -> SimDuration {
-        self.cum_pause
-    }
-
-    /// The whole time series as a JSONL document (one row per line).
-    pub fn to_jsonl(&self) -> String {
-        json::jsonl(&self.rows)
+        rows
     }
 }
 
-// The observatory's dynamic state — collected rows, latest CP state, open
-// pause intervals, accumulated pause time — after the `enabled` flag,
-// which is configuration recorded so a restore can check the rebuilt run.
-struct_codec!(Observatory { enabled, rows, cp_state, pause_open, cum_pause });
-
-tag_codec!(MetricRow {
-    Queue { t, node, port, bytes } = 0,
-    Cp { t, cp, fair_rate_units, region, alpha, beta } = 1,
-    Flow { t, flow, rp_bps, goodput_bps } = 2,
-    Pfc { t, cum_pause_ns } = 3,
-});
+// The enable mask is configuration recorded so a restore can check the
+// rebuilt run; the tick marks and sender rates are what the rows need
+// beyond the trace's series and log.
+struct_codec!(Observatory { classes, ticks, rp_bps });
 
 #[cfg(test)]
 mod tests {
@@ -294,39 +282,56 @@ mod tests {
         }
     }
 
+    /// Log the events, then tick the observatory at `at` µs with no
+    /// watched flows.
+    fn tick_after(tr: &mut Trace, at: u64, events: &[SimEvent]) {
+        for &ev in events {
+            tr.publish_event(ev);
+        }
+        let logged = tr.telemetry.events.len();
+        tr.observatory.tick(SimTime::from_micros(at), logged, Vec::new());
+    }
+
     #[test]
     fn disabled_observatory_collects_nothing() {
-        let mut o = Observatory::new();
-        assert!(o.wants_mask().is_empty());
-        o.note_queue_sample(SimTime::ZERO, NodeId(0), PortId(0), 100);
-        o.sample_tick(SimTime::ZERO);
-        assert!(o.rows().is_empty());
-        assert!(o.to_jsonl().is_empty());
+        let mut tr = Trace::new();
+        assert!(tr.observatory.classes().is_empty());
+        assert!(!tr.wants(EventMask::PFC | EventMask::CP_DECISION));
+        tr.watch_queue(NodeId(0), PortId(0));
+        tr.record_queue_sample(0, SimTime::ZERO, 100);
+        assert!(tr.observatory_rows().is_empty());
+        assert!(tr.observatory_jsonl().is_empty());
     }
 
     #[test]
     fn cp_state_reemitted_each_tick() {
-        let mut o = Observatory::new();
-        o.enable();
-        o.observe(&SimEvent::CpDecision {
-            t: SimTime::from_micros(1),
+        let mut tr = Trace::new();
+        tr.observatory.enable();
+        let decision = |t, fair_rate_units| SimEvent::CpDecision {
+            t: SimTime::from_micros(t),
             cp: cp(3, 1),
             kind: crate::telemetry::CpDecisionKind::Pi,
-            fair_rate_units: 500,
+            fair_rate_units,
             alpha: 0.3,
             beta: 1.5,
             region: 2,
             qlen_bytes: 1000,
-        });
-        o.sample_tick(SimTime::from_micros(10));
-        o.sample_tick(SimTime::from_micros(20));
-        let cps: Vec<_> = o
-            .rows()
+        };
+        tick_after(&mut tr, 10, &[decision(1, 500)]);
+        // A decision at the tick's own instant, logged after the tick,
+        // shows from the next tick on.
+        tick_after(&mut tr, 20, &[]);
+        tick_after(&mut tr, 30, &[decision(20, 600)]);
+        let rates: Vec<_> = tr
+            .observatory_rows()
             .iter()
-            .filter(|r| matches!(r, MetricRow::Cp { .. }))
+            .filter_map(|r| match r {
+                MetricRow::Cp { fair_rate_units, .. } => Some(*fair_rate_units),
+                _ => None,
+            })
             .collect();
-        assert_eq!(cps.len(), 2, "CP state must re-emit on every tick");
-        let jsonl = o.to_jsonl();
+        assert_eq!(rates, [500, 500, 600], "CP state must re-emit on every tick");
+        let jsonl = tr.observatory_jsonl();
         assert!(jsonl.contains("\"type\":\"cp\""));
         assert!(jsonl.contains("\"fair_rate_units\":500"));
         assert!(jsonl.contains("\"region\":2"));
@@ -334,23 +339,25 @@ mod tests {
 
     #[test]
     fn pfc_pause_accumulates_including_open_intervals() {
-        let mut o = Observatory::new();
-        o.enable();
+        let mut tr = Trace::new();
+        tr.observatory.enable();
         let pfc = |t, pause| SimEvent::Pfc {
             t: SimTime::from_micros(t),
             node: NodeId(1),
             port: PortId(0),
             pause,
         };
-        o.observe(&pfc(10, true));
-        o.observe(&pfc(15, false)); // 5 µs closed
-        o.observe(&pfc(20, true)); // open at tick time
-        o.sample_tick(SimTime::from_micros(22));
-        let MetricRow::Pfc { cum_pause_ns, .. } = o.rows().last().copied().unwrap() else {
-            panic!("last row must be the PFC cumulative sample");
-        };
-        assert_eq!(cum_pause_ns, 7_000); // 5 closed + 2 open
-        assert_eq!(o.cum_pause(), SimDuration::from_micros(5));
+        tick_after(&mut tr, 17, &[pfc(10, true), pfc(15, false)]); // 5 µs closed
+        tick_after(&mut tr, 22, &[pfc(20, true)]); // open at tick time
+        let cum: Vec<_> = tr
+            .observatory_rows()
+            .iter()
+            .filter_map(|r| match r {
+                MetricRow::Pfc { cum_pause_ns, .. } => Some(*cum_pause_ns),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(cum, [5_000, 7_000]); // then 5 closed + 2 open
     }
 
     #[test]

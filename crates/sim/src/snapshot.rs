@@ -1,9 +1,10 @@
-//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v5` format.
+//! Deterministic mid-run snapshot/restore: the `rocc-snapshot/v7` format.
 //!
 //! A snapshot captures the complete *dynamic* state of a [`crate::engine::Sim`]
 //! — scheduler heap, packet slab, switch queues and PFC state, host
 //! send/recv and RP state, CP fair-rate calculators, fault cursors, budget
-//! counters, and telemetry/observatory/sanitizer accumulators — such that
+//! counters, the telemetry log, the observatory's tick marks and the
+//! sanitizer's accumulators — such that
 //! restoring it into a freshly built, identically configured `Sim` resumes
 //! the run with **byte-identical** verdicts, metrics JSONL, and aggregates
 //! versus an uninterrupted run (see DESIGN.md §3i).
@@ -16,7 +17,7 @@
 //! calls — and then [`crate::engine::Sim::restore`] overwrites every
 //! dynamic field. Mismatched construction is detected via the seed and a
 //! seed-zeroed FNV-1a config digest in the header, plus structural checks
-//! (node counts, watch-list lengths) during decode.
+//! (node counts, the trace's watch lists) during decode.
 //!
 //! Wire format: a 16-byte magic ([`SNAPSHOT_MAGIC`]), a fixed header
 //! (seed, config digest, sim time, event count, body length), a body, and
@@ -53,7 +54,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Leading magic of every snapshot: format name + version in one token.
-pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v6";
+pub const SNAPSHOT_MAGIC: &[u8; 16] = b"rocc-snapshot/v7";
 
 /// [`SNAPSHOT_MAGIC`] as text, for every message that names the format.
 pub const SNAPSHOT_FORMAT: &str = match std::str::from_utf8(SNAPSHOT_MAGIC) {
@@ -951,7 +952,7 @@ mod tests {
     /// tag 0 cut off inside the variant's first field.
     #[test]
     fn malformed_bytes_are_typed_errors() {
-        use crate::{metrics::MetricRow, telemetry::SimEvent};
+        use crate::telemetry::SimEvent;
         use SnapshotError::{Malformed, Truncated};
         fn refuses<T: Codec>(unused_tag: u8) {
             assert_eq!(decode::<T>(&[unused_tag]).err(), Some(Malformed("enum tag")));
@@ -963,7 +964,6 @@ mod tests {
         refuses::<Event>(11);
         refuses::<Event>(2); // retired, never reused
         refuses::<SimEvent>(8);
-        refuses::<MetricRow>(4);
         assert_eq!(decode::<Option<u64>>(&[2]), Err(Malformed("option tag")));
         assert_eq!(decode::<bool>(&[2]), Err(Malformed("bool")));
         assert_eq!(
@@ -1077,7 +1077,6 @@ mod tests {
     /// ids are u64 little-endian, tags one byte, `f64`s their IEEE bits.
     #[test]
     fn wire_vectors_are_pinned() {
-        use crate::metrics::MetricRow;
         use crate::telemetry::{
             CpDecisionKind, DropCause, RpTransitionKind, SimEvent, VerdictKind,
         };
@@ -1205,20 +1204,5 @@ mod tests {
         ] {
             vector(&SimEvent::Verdict { t, kind, cycle_len: 0x39 }, hex);
         }
-
-        // MetricRow, one per variant.
-        let port = PortId(0x41);
-        vector(&MetricRow::Queue { t, node, port, bytes: 0x42 }, "000c00000000000000210000000000000041000000000000004200000000000000");
-        let row = MetricRow::Cp {
-            t,
-            cp,
-            fair_rate_units: 0x43,
-            region: 0x44,
-            alpha: 0.5,
-            beta: 2.0,
-        };
-        vector(&row, "010c000000000000000a000000000000000b000000000000004300000044000000000000000000e03f0000000000000040");
-        vector(&MetricRow::Flow { t, flow, rp_bps: 0x45, goodput_bps: 0x46 }, "020c00000000000000220000000000000045000000000000004600000000000000");
-        vector(&MetricRow::Pfc { t, cum_pause_ns: 0x47 }, "030c000000000000004700000000000000");
     }
 }

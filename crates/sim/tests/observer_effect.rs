@@ -96,10 +96,11 @@ fn faulted_incast(seed: u64, telemetry: bool) -> (RunSummary, u64) {
     let t = &sim.trace.telemetry;
     if telemetry {
         // The instrumented run really observed the run from all angles.
+        let m = sim.trace.metrics();
         assert!(!t.events.is_empty(), "no events collected");
-        assert!(t.counter_total("cnp.emit") > 0);
-        assert!(t.fct_hist.count() == 6, "one FCT sample per flow");
-        assert!(t.queue_hist.count() > 0, "queue depth sampled");
+        assert!(m.counter_total("cnp.emit") > 0);
+        assert!(m.fct_hist.count() == 6, "one FCT sample per flow");
+        assert!(m.queue_hist.count() > 0, "queue depth sampled");
     }
     (summarize(&sim), t.events.len() as u64)
 }
@@ -226,16 +227,15 @@ fn observatory_is_invisible_to_the_simulation() {
         let done = sim.run_until_flows_done(SimTime::from_millis(100)).is_complete();
         assert!(done, "faulted incast must complete within the horizon");
         if observe {
-            let o = &sim.trace.observatory;
-            assert!(!o.rows().is_empty(), "observatory collected nothing");
-            let jsonl = o.to_jsonl();
+            assert!(!sim.trace.observatory_rows().is_empty(), "observatory collected nothing");
+            let jsonl = sim.trace.observatory_jsonl();
             assert!(jsonl.contains("\"type\":\"queue\""), "no queue rows");
             assert!(jsonl.contains("\"type\":\"flow\""), "no flow rows");
             assert!(jsonl.contains("\"type\":\"cp\""), "no CP rows");
             assert!(jsonl.contains("\"type\":\"pfc\""), "no PFC rows");
             (summarize(&sim), jsonl)
         } else {
-            assert!(sim.trace.observatory.rows().is_empty());
+            assert!(sim.trace.observatory_rows().is_empty());
             (summarize(&sim), String::new())
         }
     };
@@ -555,7 +555,7 @@ fn telemetry_output_is_deterministic() {
             });
         }
         let _ = sim.run_until_flows_done(SimTime::from_millis(50));
-        let metrics = sim.trace.telemetry.metrics_json();
+        let metrics = sim.trace.metrics_json();
         let timeline: Vec<String> = sim
             .trace
             .telemetry

@@ -229,7 +229,7 @@ fn restore_rejects_corrupt_container() {
     }
 }
 
-/// Assemble a `rocc-snapshot/v6` container by hand from a header and a
+/// Assemble a `rocc-snapshot/v7` container by hand from a header and a
 /// section list — the layout DESIGN.md §3i documents, written without the
 /// crate's own framer so the two are checked against each other.
 fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) -> Vec<u8> {
@@ -332,4 +332,28 @@ fn restore_rejects_v1_files_and_mismatched_section_tables() {
         restore(&reframe(&info, &overlong)),
         Err(snapshot::SnapshotError::Malformed("trailing bytes"))
     );
+}
+
+/// A rebuilt run that registers other watches than the captured run is
+/// refused even when it registers as many: restoring would file the
+/// captured history under the wrong port. One rebuild swaps the order of
+/// two watched queues, the other averages a different port.
+#[test]
+fn restore_refuses_a_run_watching_other_ports() {
+    let build = |queues: [usize; 2], avg: usize| {
+        let mut sim = build_chaos(7);
+        sim.trace.sample_period = Some(SimDuration::from_micros(10));
+        for port in queues {
+            sim.trace.watch_queue(NodeId(0), PortId(port));
+        }
+        sim.trace.watch_queue_avg(NodeId(0), PortId(avg));
+        sim
+    };
+    let mut donor = build([0, 1], 0);
+    donor.run_until_event(5_000);
+    let bytes = donor.snapshot();
+    assert_eq!(build([0, 1], 0).restore(&bytes), Ok(()));
+    let differs = Err(snapshot::SnapshotError::Malformed("watch list differs"));
+    assert_eq!(build([1, 0], 0).restore(&bytes), differs, "swapped queue watches");
+    assert_eq!(build([0, 1], 1).restore(&bytes), differs, "other average port");
 }
