@@ -72,7 +72,7 @@ fn snapshot_inspect_prints_the_current_magic() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let magic = String::from_utf8_lossy(rocc_sim::snapshot::SNAPSHOT_MAGIC);
-    assert_eq!(magic, "rocc-snapshot/v7");
+    assert_eq!(magic, "rocc-snapshot/v8");
     assert_eq!(
         stdout.lines().next(),
         Some(format!("{file}: {magic}").as_str())

@@ -1,4 +1,4 @@
-//! The `rocc-snapshot/v7` wire format, pinned.
+//! The `rocc-snapshot/v8` wire format, pinned.
 //!
 //! Each case runs a scheme to two event cut points and compares the full
 //! snapshot bytes — length and FNV-1a-64 — against constants captured
@@ -118,8 +118,8 @@ fn rocc_chaos_with_everything_on() {
         chaos_everything_on(),
         chaos_everything_on,
         [
-            (10_000, 95_237, 0x7602_689b_18ab_2f7d),
-            (42_000, 154_334, 0x02b4_6fd9_9db5_2585),
+            (10_000, 30_396, 0x182b_13af_74a3_38ce),
+            (42_000, 58_103, 0x04a7_05ea_14e2_e8d9),
         ],
     );
 }
@@ -128,8 +128,8 @@ fn rocc_chaos_with_everything_on() {
 fn hpcc_incast_with_int_stacks_in_flight() {
     let build = || incast(Scheme::Hpcc, 6, 3);
     let pins = [
-        (2_000, 23_802, 0x0eb5_6a2b_e649_f540),
-        (10_000, 23_932, 0x09e3_03c3_a4ca_69b2),
+        (2_000, 7_967, 0xc5ba_6c84_161b_9b53),
+        (10_000, 8_003, 0x9fe2_c92c_cf03_4741),
     ];
     check("hpcc", build(), build, pins);
 }
@@ -138,8 +138,8 @@ fn hpcc_incast_with_int_stacks_in_flight() {
 fn qcn_incast_with_feedback_in_flight() {
     let build = || incast(Scheme::Qcn, 8, 5);
     let pins = [
-        (2_000, 56_886, 0x247c_4d2f_db7f_befc),
-        (6_000, 137_902, 0x8164_7582_a6b4_0035),
+        (2_000, 16_218, 0x7fbd_21d3_1d4d_4cbd),
+        (6_000, 40_180, 0x59e6_b692_9431_7cba),
     ];
     check("qcn", build(), build, pins);
 }
@@ -147,35 +147,35 @@ fn qcn_incast_with_feedback_in_flight() {
 #[test]
 fn dcqcn_incast_with_rates_cut() {
     let build = || incast(Scheme::Dcqcn, 8, 11);
-    let pins = [(6_000, 121_635, 0xbe68_352d_50de_bd2d), (20_000, 125_151, 0xaaa6_d948_49ce_40e0)];
+    let pins = [(6_000, 35_479, 0xb944_3c42_46eb_d033), (20_000, 39_584, 0x903b_a74d_d396_dedd)];
     check("dcqcn", build(), build, pins);
 }
 
 #[test]
 fn dcqcn_pi_incast_with_marking_probability_up() {
     let build = || incast(Scheme::DcqcnPi, 8, 13);
-    let pins = [(6_000, 148_290, 0x4b91_e2b5_3e9e_b251), (20_000, 164_846, 0xba26_c3e7_f82a_6eb5)];
+    let pins = [(6_000, 43_247, 0x3bed_2ab2_12dc_f070), (20_000, 51_817, 0x0954_996b_e2e5_1004)];
     check("dcqcn+pi", build(), build, pins);
 }
 
 #[test]
 fn timely_incast_with_rtt_gradient() {
     let build = || incast(Scheme::Timely, 8, 17);
-    let pins = [(6_000, 130_018, 0xf7d7_2cb2_e57d_992d), (17_000, 121_985, 0x1302_fd84_6517_956d)];
+    let pins = [(6_000, 37_928, 0x60c9_01da_2c96_a548), (17_000, 38_463, 0x57e3_180e_8815_514c)];
     check("timely", build(), build, pins);
 }
 
 #[test]
 fn timely_patched_incast() {
     let build = || incast(Scheme::TimelyPatched, 8, 19);
-    let pins = [(6_000, 147_794, 0xf90f_01f8_911a_d795), (17_000, 170_473, 0x0955_716f_f9f4_2699)];
+    let pins = [(6_000, 43_119, 0x6438_bd8e_47d9_3452), (17_000, 52_850, 0x13ba_005b_01fa_0e1a)];
     check("timely+patch", build(), build, pins);
 }
 
 #[test]
 fn no_cc_incast() {
     let build = || incast(Scheme::None, 8, 23);
-    let pins = [(6_000, 147_410, 0x3e4d_41d6_a3e5_bfef), (17_000, 170_061, 0xf403_1f47_a7ed_04f0)];
+    let pins = [(6_000, 42_944, 0xb9eb_6376_0059_769a), (17_000, 52_714, 0x8ed6_ae37_3f7b_6615)];
     check("none", build(), build, pins);
 }
 
@@ -189,7 +189,7 @@ fn rocc_host_computed_incast_with_replicas() {
             29,
         )
     };
-    let pins = [(6_000, 134_319, 0x63f7_5d1b_6e72_1df6), (20_000, 118_387, 0x8b3a_f11f_ed1f_6428)];
+    let pins = [(6_000, 38_984, 0x3c8f_df5b_d2e0_3bdd), (20_000, 36_582, 0x1db5_8178_8a60_55ef)];
     check("rocc host-computed", build(), build, pins);
 }
 
@@ -207,7 +207,7 @@ fn rocc_bounded_age_table_incast() {
             31,
         )
     };
-    let pins = [(6_000, 138_119, 0x97a7_e0ab_1051_cb55), (20_000, 123_526, 0x3abb_4b1c_d2f9_e849)];
+    let pins = [(6_000, 40_180, 0xf55f_dd4a_16c8_7d75), (20_000, 38_521, 0x1eee_8afc_f8f4_c2e3)];
     check("rocc bounded-age", build(), build, pins);
 }
 
@@ -225,6 +225,6 @@ fn rocc_sampling_table_incast() {
             37,
         )
     };
-    let pins = [(6_000, 138_151, 0x393a_34dd_8fca_636d), (20_000, 122_841, 0xb865_8e3b_0e4c_c600)];
+    let pins = [(6_000, 40_180, 0x5234_85c6_831b_9441), (20_000, 38_215, 0x15d2_04a1_8117_95f2)];
     check("rocc sampling", build(), build, pins);
 }

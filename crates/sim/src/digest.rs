@@ -47,9 +47,11 @@ pub const DIVERGENCE_REPORT_SCHEMA: &str = "rocc-divergence-report/v1";
 // Component digests
 // ---------------------------------------------------------------------------
 
-/// A section's bytes decoded as little-endian 64-bit words (the tail is
-/// zero-padded — sections are word-aligned except for the occasional
-/// `u8` tag).
+/// A section's bytes decoded as little-endian 64-bit words, the tail
+/// zero-padded. Payload integers are varints, so a word is an 8-byte
+/// window over the bytes, not one field: a value that keeps its encoded
+/// length moves only the window holding it, one that changes length
+/// shifts every window after it.
 fn le_words(bytes: &[u8]) -> Vec<u64> {
     bytes
         .chunks(8)

@@ -229,7 +229,7 @@ fn restore_rejects_corrupt_container() {
     }
 }
 
-/// Assemble a `rocc-snapshot/v7` container by hand from a header and a
+/// Assemble a `rocc-snapshot/v8` container by hand from a header and a
 /// section list — the layout DESIGN.md §3i documents, written without the
 /// crate's own framer so the two are checked against each other.
 fn reframe(info: &snapshot::SnapshotInfo, sections: &[snapshot::Section<'_>]) -> Vec<u8> {
