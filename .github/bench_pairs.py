@@ -11,9 +11,11 @@ temporary output directory, and requires `"correct": true` from both. The
 side that runs first alternates: base first in even pairs (0, 2, ...),
 head first in odd ones, so effects of running order (page cache, CPU
 clock, host load drifting within a pair) fall on both sides equally. Then, for every metric of the result JSON (the last stdout line),
-it prints base and head median, min-max, and how many pairs head won.
-"Won" follows the metric's direction in BENCHMARK.json (lower is better
-when a metric is not listed there); a tie is not a win. `--trace 1`
+it prints base and head median, min-max, how many pairs head won, and
+whether the sides separate fully: every head run beats every base run
+(the bar for claiming a gain). "Won" and "beats" follow the metric's
+direction in BENCHMARK.json (lower is better when a metric is not listed
+there); a tie is not a win. `--trace 1`
 compares the traced run's per-layer metrics the same way.
 
 Exits 1 if any run fails or reports `"correct": false`.
@@ -71,17 +73,18 @@ def main():
 
     higher = higher_is_better()
     print(f"{a.workload} seed {a.seed} trace {a.trace}: {a.pairs} pairs (base first in even pairs, head first in odd)")
-    print(f"{'metric':<32} {'base median':>14} {'base min-max':>27} {'head median':>14} {'head min-max':>27}  head won")
+    print(f"{'metric':<32} {'base median':>14} {'base min-max':>27} {'head median':>14} {'head min-max':>27}  head won  separate")
     names = [k for k in runs["base"][0] if all(k in r for r in runs["base"] + runs["head"])]
     for name in names:
         base = [r[name] for r in runs["base"]]
         head = [r[name] for r in runs["head"]]
         better = (lambda h, b: h > b) if name in higher else (lambda h, b: h < b)
         won = sum(better(h, b) for h, b in zip(head, base))
+        separate = all(better(h, b) for h in head for b in base)
         span = lambda xs: f"{min(xs):.6g}-{max(xs):.6g}"
         print(
             f"{name:<32} {statistics.median(base):>14.6g} {span(base):>27} "
-            f"{statistics.median(head):>14.6g} {span(head):>27}  {won}/{a.pairs}"
+            f"{statistics.median(head):>14.6g} {span(head):>27}  {f'{won}/{a.pairs}':>8}  {'yes' if separate else 'no'}"
         )
 
 

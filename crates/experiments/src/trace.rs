@@ -46,7 +46,7 @@ pub struct ClassCounts {
 }
 
 impl ClassCounts {
-    fn tally(events: &[SimEvent]) -> ClassCounts {
+    fn tally(events: impl IntoIterator<Item = SimEvent>) -> ClassCounts {
         let mut c = ClassCounts::default();
         for e in events {
             let class = match e {
@@ -70,7 +70,7 @@ pub struct TraceRun {
     /// Scenario name (an entry of [`SCENARIOS`]).
     pub scenario: &'static str,
     /// The full event timeline, in emission order.
-    pub events: Vec<SimEvent>,
+    pub events: EventLog,
     /// Per-class event counts over [`TraceRun::events`].
     pub counts: ClassCounts,
     /// The metrics registry folded from the run (counters per event kind
@@ -89,7 +89,7 @@ pub struct TraceRun {
 impl TraceRun {
     /// The timeline as JSONL (one event per line, trailing newline).
     pub fn timeline_jsonl(&self) -> String {
-        json::jsonl(&self.events)
+        self.events.to_jsonl()
     }
 }
 
@@ -292,7 +292,7 @@ mod tests {
         // Region indices stay in the six auto-tune regions of §3.5.
         for e in &r.events {
             if let SimEvent::CpDecision { region, .. } = e {
-                assert!(*region <= 5, "auto-tune region out of range: {region}");
+                assert!(region <= 5, "auto-tune region out of range: {region}");
             }
         }
     }
@@ -322,7 +322,7 @@ mod tests {
         // No CNP emitted by the CP is accepted after the blackout: every
         // post-blackout transition is recovery machinery, not feedback.
         let post_feedback = r.events.iter().any(|e| {
-            matches!(e, SimEvent::RpTransition { t, kind, .. }
+            matches!(&e, SimEvent::RpTransition { t, kind, .. }
                 if *t > blackout
                     && matches!(
                         kind,
@@ -394,7 +394,7 @@ mod tests {
                 cycle_len: 2,
             },
         ];
-        let c = ClassCounts::tally(&events);
+        let c = ClassCounts::tally(events);
         assert_eq!(
             (c.drop, c.pfc, c.cnp, c.fault, c.sanitizer),
             (1, 1, 1, 0, 2)

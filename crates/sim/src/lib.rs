@@ -121,8 +121,8 @@ pub mod prelude {
         config_digest, inspect, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC,
     };
     pub use crate::telemetry::{
-        CcEvent, CounterLabels, CpDecisionKind, DropCause, EventMask, Histogram, Metrics,
-        RpTransitionKind, SimEvent, SimProfile, Telemetry, VerdictKind,
+        CcEvent, CounterLabels, CpDecisionKind, DropCause, EventLog, EventMask, Histogram,
+        Metrics, RpTransitionKind, SimEvent, SimProfile, Telemetry, VerdictKind,
     };
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LinkId, NodeId, NodeRole, PortId, Topology, TopologyBuilder};

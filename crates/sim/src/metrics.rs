@@ -193,7 +193,7 @@ impl Observatory {
 
     /// Fold the rows from the ticks, the trace's series and its log.
     pub(crate) fn rows(&self, trace: &Trace) -> Vec<MetricRow> {
-        let events = &trace.telemetry.events;
+        let mut events = trace.telemetry.events.iter();
         let mut rows = Vec::new();
         // Latest controller state per CP, re-emitted each tick so the
         // fair-rate series is uniformly spaced even when the controller
@@ -203,8 +203,8 @@ impl Observatory {
         let mut cum_pause = SimDuration::ZERO;
         let mut folded = 0;
         for (k, &Tick { t, logged }) in self.ticks.iter().enumerate() {
-            for ev in &events[folded..logged] {
-                match *ev {
+            for ev in events.by_ref().take(logged - folded) {
+                match ev {
                     SimEvent::CpDecision {
                         cp,
                         fair_rate_units,

@@ -126,7 +126,7 @@ pub fn export_chrome_trace(sim: &Sim) -> String {
     let mut pending_cnp: FxHashMap<FlowId, Vec<u64>> = FxHashMap::default();
     let mut arrow_id: u64 = 0;
     for e in &sim.trace.telemetry.events {
-        match *e {
+        match e {
             SimEvent::Pfc {
                 t,
                 node,

@@ -213,6 +213,23 @@ impl SnapWriter {
         SnapWriter { buf, starts: Vec::new() }
     }
 
+    /// A writer that appends to `buf` with no header reserved and no
+    /// sections: for bytes kept in their encoding (the event log,
+    /// [`crate::telemetry::EventLog`]) rather than framed.
+    pub(crate) fn headerless(buf: Vec<u8>) -> Self {
+        SnapWriter { buf, starts: Vec::new() }
+    }
+
+    /// The buffer, everything written included.
+    pub(crate) fn into_buf(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Append bytes some `put` already wrote, verbatim.
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Open the section `name`: everything written until the next call
     /// (or [`SnapWriter::finish`]) is its payload.
     pub(crate) fn section(&mut self, name: impl Into<String>) {
@@ -320,6 +337,16 @@ impl<'a> SnapReader<'a> {
             return Err(SnapshotError::Malformed("length prefix"));
         }
         Ok(n)
+    }
+
+    /// Run `f` on this reader, then return the bytes it consumed.
+    pub(crate) fn consumed(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<&'a [u8], SnapshotError> {
+        let start = self.pos;
+        f(self)?;
+        Ok(&self.buf[start..self.pos])
     }
 
     /// The next `n` bytes as UTF-8, borrowed from the buffer.
@@ -1044,6 +1071,7 @@ mod tests {
             reencodes::<u32>(&bytes);
             reencodes::<SimTime>(&bytes);
             reencodes::<Event>(&bytes);
+            reencodes::<crate::telemetry::SimEvent>(&bytes);
         }
     }
 

@@ -10,7 +10,7 @@ use crate::fastmap::FxHashMap;
 use crate::metrics::{MetricRow, Observatory};
 use crate::packet::FlowId;
 use crate::snapshot::{sorted, struct_codec, SnapReader, SnapWriter, SnapshotError};
-use crate::telemetry::{EventMask, Metrics, SimEvent, Telemetry};
+use crate::telemetry::{EventLog, EventMask, Metrics, SimEvent, Telemetry};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PortId};
 use rocc_stats::json;
@@ -436,8 +436,9 @@ impl Trace {
     /// Serialize the trace's state: the watch lists (configuration the
     /// restoring run re-registers; the decode checks them), the sampled
     /// series, delivery accounting (sorted by key for determinism),
-    /// counters, fault counters, the event log and the observatory's tick
-    /// marks. Sample period and `avg_until` are configuration too.
+    /// counters, fault counters, the event log (its bytes, copied) and the
+    /// observatory's tick marks. Sample period and `avg_until` are
+    /// configuration too.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.watched_queues);
         w.put(&self.watched_flows);
@@ -461,13 +462,15 @@ impl Trace {
         w.put(&self.faults);
         w.put(&self.queue_peak);
         w.put(&sorted(&self.queue_avg_acc));
-        w.put(&self.telemetry);
+        w.put(&self.telemetry.classes());
+        w.put(&self.telemetry.events);
         w.put(&self.observatory);
     }
 
     /// Overwrite the trace's dynamic state from a [`Trace::save_state`]
     /// stream. Fails if the watch lists, telemetry classes or observatory
-    /// switch of the rebuilt run do not match the captured ones.
+    /// switch of the rebuilt run do not match the captured ones, or if the
+    /// log holds an event of a class the rebuilt run does not keep.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         /// `Ok` if the captured watch list is the registered one.
         fn same<T: PartialEq>(captured: Vec<T>, registered: &[T]) -> Result<(), SnapshotError> {
@@ -514,16 +517,16 @@ impl Trace {
             return Err(SnapshotError::Malformed("queue average ports differ"));
         }
         self.queue_avg_acc = avg.into_iter().collect();
-        let telemetry: Telemetry = r.get()?;
-        if telemetry.classes() != self.telemetry.classes() {
+        if r.get::<EventMask>()? != self.telemetry.classes() {
             return Err(SnapshotError::Malformed("telemetry enable masks differ"));
         }
+        let events = EventLog::read(r, self.log_classes())?;
         let observatory: Observatory = r.get()?;
         if observatory.classes() != self.observatory.classes() {
             return Err(SnapshotError::Malformed("observatory enable flag differs"));
         }
-        observatory.check(telemetry.events.len(), self.watched_flows.len())?;
-        self.telemetry = telemetry;
+        observatory.check(events.len(), self.watched_flows.len())?;
+        self.telemetry.events = events;
         self.observatory = observatory;
         Ok(())
     }

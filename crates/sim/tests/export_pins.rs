@@ -85,7 +85,7 @@ fn restored_exports_equal_the_uninterrupted_ones() {
     let mut full = instrumented();
     assert!(full.run_until_flows_done(HORIZON).is_complete());
     let shared = full.trace.telemetry.events.iter().any(|e| {
-        matches!(e, SimEvent::CpDecision { t, .. } if *t == at)
+        matches!(e, SimEvent::CpDecision { t, .. } if t == at)
     });
     assert!(shared, "no CP decision at the tick instant {at:?}");
     for k in [0, 5_000, 20_000, tick - 1, tick, tick + 1] {

@@ -200,7 +200,7 @@ fn watchdog_findings_appear_on_the_telemetry_timeline() {
     let verdict = sim.run_until_flows_done(SimTime::from_millis(50));
     assert!(!verdict.is_complete());
     let events = &sim.trace.telemetry.events;
-    let edges: Vec<&SimEvent> = events
+    let edges: Vec<SimEvent> = events
         .iter()
         .filter(|e| e.to_json().contains("\"type\":\"pause_edge\""))
         .collect();

@@ -357,3 +357,40 @@ fn restore_refuses_a_run_watching_other_ports() {
     assert_eq!(build([1, 0], 0).restore(&bytes), differs, "swapped queue watches");
     assert_eq!(build([0, 1], 1).restore(&bytes), differs, "other average port");
 }
+
+/// A captured log holding events of a class the rebuilt run never keeps
+/// is refused: the restored run would export history it could not have
+/// recorded. The hostile snapshot is an every-class log relabelled as a
+/// CNP-only one, re-framed behind a valid trailer.
+#[test]
+fn restore_refuses_a_log_of_classes_the_run_never_keeps() {
+    let run = |mask| {
+        let mut sim = build_chaos(7);
+        sim.trace.telemetry.collect(mask);
+        sim.run_until_event(5_000);
+        sim
+    };
+    let (every, cnp_only) = (run(EventMask::ALL), run(EventMask::CNP));
+    let foreign = every.trace.telemetry.events.iter().any(|e| e.class() != EventMask::CNP);
+    assert!(foreign, "the every-class log holds only CNPs");
+    let bytes = every.snapshot();
+    let other = cnp_only.snapshot();
+    let (info, mut sections) = snapshot::sections(&bytes).expect("own snapshot parses");
+    let at = sections.iter().position(|&(n, _)| n == "trace").expect("a trace section");
+    let cnp_trace = snapshot::sections(&other).expect("own snapshot parses").1[at].1;
+    // The same history up to the telemetry mask, the first byte that
+    // differs between the two runs' trace sections.
+    let payload = sections[at].1;
+    let mask_at = payload.iter().zip(cnp_trace).position(|(a, b)| a != b).expect("masks differ");
+    let (all, cnp) = (EventMask::ALL.0 as u8, EventMask::CNP.0 as u8);
+    assert_eq!((payload[mask_at], cnp_trace[mask_at]), (all, cnp));
+    let mut relabelled = payload.to_vec();
+    relabelled[mask_at] = cnp;
+    sections[at].1 = &relabelled;
+    let mut rebuilt = build_chaos(7);
+    rebuilt.trace.telemetry.collect(EventMask::CNP);
+    assert_eq!(
+        rebuilt.restore(&reframe(&info, &sections)),
+        Err(snapshot::SnapshotError::Malformed("event class not kept"))
+    );
+}
